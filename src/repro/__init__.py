@@ -45,7 +45,6 @@ from repro.scenario import (
     run_scenarios,
     sweep,
 )
-from repro.sim.replay import replay_trace
 from repro.sim.ssd import SSD, RunResult
 from repro.traces.record import IORequest, OpType, Trace
 from repro.traces.workloads import (
@@ -69,7 +68,6 @@ __all__ = [
     "PPBConfig",
     "SSD",
     "RunResult",
-    "replay_trace",
     "ScenarioSpec",
     "TenantSpec",
     "PreconditionPhase",

@@ -18,7 +18,7 @@ from repro.bench.experiment import (
     FULL_SCALE,
     SMOKE_SCALE,
 )
-from repro.bench.memo import ReplayRunner, ReplaySpec
+from repro.bench.memo import ReplayRunner
 from repro.bench.placement import PlacementSweepSpec, run_placement_sweep
 from repro.bench.reliability import ReliabilitySweepSpec, run_reliability_sweep
 from repro.bench.figures import (
@@ -41,7 +41,6 @@ __all__ = [
     "FULL_SCALE",
     "SMOKE_SCALE",
     "ReplayRunner",
-    "ReplaySpec",
     "PlacementSweepSpec",
     "run_placement_sweep",
     "ReliabilitySweepSpec",

@@ -17,7 +17,7 @@ Weight 0 is pure-speed PPB; higher weights divert read-hot data off
 fast pages when their predicted RBER-at-horizon outweighs the speed
 gain.
 
-Each replay is two-phase (``replay_trace``'s ``reread_age_s``): the
+Each replay is two-phase (the spec's ``reread_age_s``): the
 *fresh* phase replays the trace on a fresh device — this is where the
 placement policy acts, and its mean read latency is the *speed* side of
 the frontier; then the device shelf-ages by ``retention_age_hours`` and

@@ -660,8 +660,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 planes_per_chip=args.planes,
             ),
             ftl=args.ftl,
-            # replay_trace's historical default, kept so the command's
-            # output is unchanged by the migration off the shim.
             warm_fill_fraction=0.9,
             mode=args.mode,
             arrival=ArrivalSpec(

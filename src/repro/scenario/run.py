@@ -1,11 +1,10 @@
 """Scenario execution: build device + FTL + SSD, fill, age, replay.
 
-This is the one code path every experiment funnels through.  It used to
-live in :func:`repro.sim.replay.replay_trace`; that function is now a
-thin compatibility shim over :func:`execute_scenario`, and everything
-spec-driven — the memoized :class:`~repro.bench.memo.ReplayRunner`, the
-sweeps, the CLI — goes through :func:`run_scenario`, which adds trace
-construction and result memoization keyed on the
+This is the one code path every experiment funnels through:
+:func:`execute_scenario` replays a prebuilt trace, and
+:func:`run_scenario` — what the memoized
+:class:`~repro.bench.memo.ReplayRunner`, the sweeps and the CLI use —
+adds trace construction and result memoization keyed on the
 :class:`~repro.scenario.spec.ScenarioSpec` itself.
 """
 

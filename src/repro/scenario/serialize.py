@@ -8,7 +8,7 @@ The contract the property tests pin:
 * unknown or misspelled keys raise :class:`~repro.errors.ConfigError`
   naming the offending **dotted path** (``reliability.base_rberr``),
   never a bare ``TypeError`` from a dataclass constructor — and
-  out-of-range values (``arrival_scale = 0``) die with the field's own
+  out-of-range values (``arrival.scale = 0``) die with the field's own
   :class:`ConfigError` from spec validation;
 * values are coerced only where the file format is lossy (TOML/JSON
   readers may hand an ``int`` where a float field is meant — ``2`` for

@@ -2,10 +2,8 @@
 
 Every experiment this repository runs — a paper figure cell, a
 reliability sweep point, a placement frontier variant, a retention A/B
-re-read — is "replay a workload on a configured device".  Before this
-module each caller carried its own bundle of knobs (``replay_trace``'s
-keyword list, ``ReplaySpec``, two sweep dataclasses, ``Cell``);
-:class:`ScenarioSpec` is the single canonical bundle they all reduce to.
+re-read — is "replay a workload on a configured device", and
+:class:`ScenarioSpec` is the one bundle of knobs that describes it.
 
 Design rules
 ------------
@@ -28,7 +26,6 @@ Design rules
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.config import PPBConfig
@@ -237,12 +234,6 @@ class ScenarioSpec:
     #: arrivals or a closed fixed-QD population); ``None`` means the
     #: open-loop defaults.  See :class:`~repro.sim.arrival.ArrivalSpec`.
     arrival: ArrivalSpec | None = None
-    #: DEPRECATED spelling of ``arrival.queue_depth`` — folds into an
-    #: open-loop ``[arrival]`` section with a :class:`DeprecationWarning`.
-    queue_depth: int = 0
-    #: DEPRECATED spelling of ``arrival.scale`` — folds into an
-    #: open-loop ``[arrival]`` section with a :class:`DeprecationWarning`.
-    arrival_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOADS:
@@ -316,31 +307,6 @@ class ScenarioSpec:
             raise ConfigError(
                 f"arrival must be an ArrivalSpec, got {self.arrival!r}"
             )
-        if self.queue_depth != 0 or self.arrival_scale != 1.0:
-            if self.arrival is not None:
-                raise ConfigError(
-                    "top-level queue_depth/arrival_scale are deprecated "
-                    "spellings of the [arrival] section and cannot be combined "
-                    "with it; set arrival.queue_depth / arrival.scale only"
-                )
-            # Fold the legacy knobs into a canonical open-loop [arrival]
-            # section and reset them, so equal experiments hash and
-            # serialize identically however they were spelled.
-            folded = ArrivalSpec(
-                queue_depth=self.queue_depth, scale=self.arrival_scale
-            )
-            warnings.warn(
-                "top-level queue_depth/arrival_scale are deprecated; use the "
-                "[arrival] section instead:\n"
-                f"    arrival = ArrivalSpec(queue_depth={self.queue_depth}, "
-                f"scale={self.arrival_scale:g})\n"
-                "(in TOML: an [arrival] table with queue_depth / scale keys)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            object.__setattr__(self, "arrival", folded)
-            object.__setattr__(self, "queue_depth", 0)
-            object.__setattr__(self, "arrival_scale", 1.0)
         if (
             self.arrival is not None
             and self.arrival.is_closed
@@ -462,38 +428,3 @@ class ScenarioSpec:
             parts.append(f"timed({self.effective_arrival.describe()})")
         return " ".join(parts)
 
-
-def _render_value(value: object) -> str:
-    """One constructor argument for :func:`spec_snippet`."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if isinstance(value, NandSpec):
-            reference, ctor = sim_spec(), "sim_spec"
-        else:
-            reference, ctor = type(value)(), type(value).__name__
-        inner = ", ".join(
-            f"{f.name}={_render_value(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-            if getattr(value, f.name) != getattr(reference, f.name)
-        )
-        return f"{ctor}({inner})"
-    if isinstance(value, tuple) and value and all(
-        isinstance(item, tuple) and len(item) == 2 for item in value
-    ):
-        return repr(dict(value))  # workload_kwargs read better as a dict
-    return repr(value)
-
-
-def spec_snippet(spec: ScenarioSpec) -> str:
-    """Constructor text of a spec's non-default fields.
-
-    The deprecation shims (``replay_trace``, ``ReplaySpec``) use this to
-    show callers the modern spelling of exactly the experiment they
-    asked for.
-    """
-    reference = ScenarioSpec()
-    args = ", ".join(
-        f"{f.name}={_render_value(getattr(spec, f.name))}"
-        for f in dataclasses.fields(spec)
-        if getattr(spec, f.name) != getattr(reference, f.name)
-    )
-    return f"ScenarioSpec({args})"

@@ -12,7 +12,6 @@ DES kernel with arrival timestamps and queueing.
 from repro.sim.engine import Engine, Event, Process, Timeout
 from repro.sim.resources import Resource
 from repro.sim.ssd import SSD, RunResult
-from repro.sim.replay import replay_trace
 
 __all__ = [
     "Engine",
@@ -22,5 +21,4 @@ __all__ = [
     "Resource",
     "SSD",
     "RunResult",
-    "replay_trace",
 ]

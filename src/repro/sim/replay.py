@@ -1,11 +1,7 @@
-"""FTL factory + ``replay_trace`` compatibility shim.
+"""The FTL registry: every FTL kind by name, and :func:`make_ftl`.
 
-The actual engine lives in :mod:`repro.scenario.run` — every experiment
-is a :class:`~repro.scenario.spec.ScenarioSpec` executed there.
-:func:`replay_trace` survives as the long-standing convenience entry
-point (examples, tests and ad-hoc studies call it with a prebuilt
-trace): it packs its keyword arguments into a ``ScenarioSpec`` and
-delegates, so the two paths can never drift apart.
+Every experiment is a :class:`~repro.scenario.spec.ScenarioSpec`
+executed by :mod:`repro.scenario.run`, which builds its FTL here.
 """
 
 from __future__ import annotations
@@ -21,11 +17,9 @@ from repro.ftl.fast import FastFTL
 from repro.ftl.reliability_hooks import ReliabilityHost
 from repro.ftl.transmap import MappingConfig
 from repro.nand.device import NandDevice
-from repro.nand.spec import NandSpec
-from repro.reliability.manager import ReliabilityConfig, ReliabilityManager
+from repro.reliability.manager import ReliabilityManager
 from repro.reliability.refresh import RefreshPolicy
-from repro.sim.ssd import RunResult
-from repro.traces.record import Trace
+
 
 def _make_conventional(
     device: NandDevice,
@@ -116,56 +110,3 @@ def make_ftl(
         )
     return factory(device, ppb_config, reliability, refresh, mapping)
 
-
-def replay_trace(
-    trace: Trace,
-    spec: NandSpec,
-    ftl_kind: str = "conventional",
-    ppb_config: PPBConfig | None = None,
-    warm_fill_fraction: float = 0.9,
-    mode: str = "sequential",
-    reliability: ReliabilityConfig | None = None,
-    refresh: bool = False,
-    retention_age_s: float = 0.0,
-    reread_age_s: float = 0.0,
-    queue_depth: int = 0,
-    arrival_scale: float = 1.0,
-    mapping: MappingConfig | None = None,
-) -> RunResult:
-    """Replay a prebuilt trace on a fresh device (**deprecated** shim).
-
-    Equivalent to building a :class:`~repro.scenario.spec.ScenarioSpec`
-    from these arguments and calling
-    :func:`repro.scenario.run.execute_scenario` — which is exactly what
-    it does.  See that function for the phase-schedule semantics
-    (warm fill, pre-age, replay, shelf-age + re-read).  The emitted
-    :class:`DeprecationWarning` spells out the equivalent spec.
-    """
-    import warnings
-
-    from repro.scenario.run import execute_scenario
-    from repro.scenario.spec import ScenarioSpec, spec_snippet
-
-    scenario = ScenarioSpec(
-        device=spec,
-        ftl=ftl_kind,
-        ppb=ppb_config,
-        warm_fill_fraction=warm_fill_fraction,
-        mode=mode,
-        reliability=reliability,
-        refresh=refresh,
-        retention_age_s=retention_age_s,
-        reread_age_s=reread_age_s,
-        queue_depth=queue_depth,
-        arrival_scale=arrival_scale,
-        mapping=mapping,
-    )
-    warnings.warn(
-        "replay_trace is deprecated; run the scenario engine directly:\n"
-        "    from repro.scenario.run import execute_scenario\n"
-        f"    execute_scenario({spec_snippet(scenario)}, trace)\n"
-        "or drop the prebuilt trace and go through run_scenario(spec).",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_scenario(scenario, trace)

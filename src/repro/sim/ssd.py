@@ -12,32 +12,32 @@ Replay modes
     latency is the sum of its page operations.  The paper's "latency
     (sec)" axes are exactly such sums.
 ``timed``
-    Requests arrive at their trace timestamps and queue for the device
-    through the DES kernel; response time = queueing + service.  Closer
-    to a real device under load; provided for studies beyond the paper.
+    Requests arrive through an arrival process and queue for the
+    device in the DES kernel; response time = queueing + service.
+    Closer to a real device under load; provided for studies beyond
+    the paper.
 
-Timed-mode device model
------------------------
-On a single-chip, single-channel device the flash back end is one
-FCFS resource and a request holds it for its whole service time (the
-historical model, pinned byte-identical by the golden timed run).  On a
-multi-chip device the engine instead overlays *chip-level concurrency*:
-the FTL services each request synchronously in arrival order (so FTL
-state evolves deterministically, independent of timing), while the
-device op log reports which chips the request busied and for how long,
-split into array time (chip-only) and bus-transfer time (chip + its
-channel).  Each chip visit then queues on its chip's resource and each
-transfer additionally on the channel's bus resource, so requests that
-touch different chips proceed in parallel — ``NandSpec.num_chips`` and
-``num_channels`` finally buy concurrency instead of being serialized
-through one token.
+Timed-mode device models
+------------------------
+In both models the FTL services each request synchronously at its
+dispatch, in arrival order, so FTL state evolves exactly as in a
+sequential replay; the models differ only in how they turn that work
+into simulated time.
 
-On a multi-*plane* device (``NandSpec.planes_per_chip > 1``) the
-overlay goes one level deeper: each op-log segment is (chip, plane)-
-attributed, a visit holds its *plane* for transfer + array time while
-the chip (the shared die I/O port) and the channel bus are held only
-during the transfer — so sibling planes overlap their array times and
-multi-plane program/erase commands buy real concurrency.
+*Serialized* (1 chip x 1 channel x 1 plane, or an FTL with no device):
+the back end is one FCFS resource, and every request — including one
+that touches no flash at all — holds it for its summed service time.
+
+*Plane-granular overlay* (every other topology): the device op log
+reports the (chip, plane) units the request busied, split into array
+time and bus-transfer time.  Each unit visit holds its plane for
+transfer + array time, and holds the chip's die port and its channel's
+bus only during the transfer, so requests on different chips or planes
+proceed in parallel while transfers still serialize per die and per
+bus.  A request that logs no device op (a RAM-map TRIM, a read of an
+unmapped page) completes at once instead of waiting its FCFS turn —
+which is why the single-unit device keeps its own model rather than
+being a one-unit overlay.
 
 The arrival process is an :class:`~repro.sim.arrival.ArrivalSpec`: an
 *open* loop walks the trace timestamps (``scale`` divides the gaps,
@@ -45,14 +45,12 @@ The arrival process is an :class:`~repro.sim.arrival.ArrivalSpec`: an
 keeps a fixed population of ``queue_depth`` requests outstanding and
 admits the next one on each completion — the fio-style saturation
 driver whose ``throughput_kiops`` at QD = N is the QD-sweep metric.
-The legacy ``queue_depth`` / ``arrival_scale`` keywords of
-:meth:`SSD.replay` still work and map onto an open-loop spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, Protocol
+from typing import Callable, Generator, Iterator, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.arrival import ArrivalSpec
@@ -204,6 +202,39 @@ def _percentiles(times: list[float]) -> dict[str, float]:
     }
 
 
+def _timed_extras(
+    makespan: float,
+    slots: Resource | None,
+    units: Sequence[Resource] = (),
+    ports: Sequence[Resource] = (),
+    buses: Sequence[Resource] = (),
+    plane_granular: bool = False,
+) -> dict[str, float]:
+    """The ``timed.*`` extras of one timed replay.
+
+    The serialized model passes no units, so it reports only the
+    admission wait, and only when a queue bound exists.  The overlay
+    adds, once simulated time has passed, per-unit utilization and wait
+    plus the bus utilization and wait.  Units are named ``chip_*`` with
+    one plane per chip and ``plane_*`` otherwise, where
+    ``chip_wait_us`` then reports the die-port wait.
+    """
+    extra: dict[str, float] = {}
+    if units and makespan > 0.0:
+        unit = "plane" if plane_granular else "chip"
+        utils = [resource.utilization(makespan) for resource in units]
+        extra[f"timed.{unit}_util_mean"] = sum(utils) / len(utils)
+        extra[f"timed.{unit}_util_max"] = max(utils)
+        extra["timed.bus_util_max"] = max(bus.utilization(makespan) for bus in buses)
+        extra[f"timed.{unit}_wait_us"] = sum(resource.wait_us for resource in units)
+        if plane_granular:
+            extra["timed.chip_wait_us"] = sum(port.wait_us for port in ports)
+        extra["timed.bus_wait_us"] = sum(bus.wait_us for bus in buses)
+    if slots is not None:
+        extra["timed.admission_wait_us"] = slots.wait_us
+    return extra
+
+
 class SSD:
     """Byte-addressed front end over an FTL."""
 
@@ -301,8 +332,6 @@ class SSD:
         self,
         trace: Trace,
         mode: str = "sequential",
-        queue_depth: int = 0,
-        arrival_scale: float = 1.0,
         tenants: tuple[tuple[str, int, int], ...] = (),
         arrival: ArrivalSpec | None = None,
     ) -> RunResult:
@@ -310,10 +339,8 @@ class SSD:
 
         ``arrival`` (timed mode) is the arrival discipline — open-loop
         trace timestamps or a closed fixed-QD population (see
-        :class:`~repro.sim.arrival.ArrivalSpec`).  The legacy
-        ``queue_depth`` / ``arrival_scale`` keywords spell the open-loop
-        knobs directly and may not be combined with ``arrival``.  The
-        arrival process is ignored by sequential replays.
+        :class:`~repro.sim.arrival.ArrivalSpec`); ``None`` means the
+        open-loop defaults.  Sequential replays ignore it.
 
         ``tenants`` — ``(name, start_byte, size_bytes)`` LBA partitions
         — turns on per-tenant accounting: each request is attributed to
@@ -321,12 +348,7 @@ class SSD:
         ``tenant_*`` aggregates.
         """
         if arrival is None:
-            arrival = ArrivalSpec(queue_depth=queue_depth, scale=arrival_scale)
-        elif queue_depth != 0 or arrival_scale != 1.0:
-            raise ConfigError(
-                "pass either arrival= or the legacy queue_depth/arrival_scale "
-                "keywords, not both"
-            )
+            arrival = ArrivalSpec()
         self._tenant_ranges = tuple(
             (start, start + size, name) for name, start, size in tenants
         )
@@ -404,15 +426,11 @@ class SSD:
     def _replay_timed(self, trace: Trace, arrival: ArrivalSpec) -> RunResult:
         result = self._base_result(trace)
         num_chips, num_channels, planes = self._timed_topology()
-        if planes > 1:
-            timed_extra = self._replay_timed_planes(
-                trace, result, arrival, num_chips, num_channels, planes
-            )
-        elif num_chips == 1 and num_channels == 1:
+        if num_chips == 1 and num_channels == 1 and planes == 1:
             timed_extra = self._replay_timed_serialized(trace, result, arrival)
         else:
-            timed_extra = self._replay_timed_parallel(
-                trace, result, arrival, num_chips, num_channels
+            timed_extra = self._replay_timed_overlay(
+                trace, result, arrival, num_chips, num_channels, planes
             )
         self._finalize(result)  # rebuilds result.extra from the FTL stats
         result.extra.update(timed_extra)
@@ -422,25 +440,25 @@ class SSD:
         self,
         engine: Engine,
         trace: Trace,
-        arrival_scale: float,
+        scale: float,
         slots: Resource | None,
         dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
     ) -> Generator[Event, None, None]:
-        """The open-loop arrival process both timed paths share.
+        """The open-loop arrival process both timed models share.
 
         Walks the trace at its (scaled) timestamps, waits for a host
         queue slot when one is configured, and hands each request — with
         its arrival time, captured *before* any admission wait — to
         ``dispatch``, the per-request coroutine of the device model in
-        use.  One definition, so the serialized and channel-parallel
-        engines can never disagree on the arrival semantics.
+        use.  One definition, so the serialized model and the overlay
+        can never disagree on the arrival semantics.
         """
         previous = 0.0
         for request in trace:
             gap = max(0.0, request.timestamp_us - previous)
             previous = request.timestamp_us
-            if arrival_scale != 1.0:
-                gap /= arrival_scale
+            if scale != 1.0:
+                gap /= scale
             if gap:
                 yield engine.timeout(gap)
             arrival = engine.now
@@ -518,27 +536,32 @@ class SSD:
                     response_us
                 )
 
+    @staticmethod
+    def _admission_slots(engine: Engine, arrival: ArrivalSpec) -> Resource | None:
+        """The open-loop host queue bound (None when unbounded or closed)."""
+        if arrival.queue_depth and not arrival.is_closed:
+            return Resource(engine, capacity=arrival.queue_depth)
+        return None
+
     def _replay_timed_serialized(
         self,
         trace: Trace,
         result: RunResult,
         arrival: ArrivalSpec,
     ) -> dict[str, float]:
-        """Single-chip, single-channel timed replay.
+        """Timed replay on one chip x one channel x one plane.
 
-        The historical capacity-1 model: a request holds the whole
-        back end for its summed service time.  With the default open
-        arrival (``queue_depth=0``, ``scale=1.0``) the event schedule —
-        and therefore every response time — is byte-identical to the
-        pre-refactor engine, which the golden timed run pins.
+        The back end is a single capacity-1 FCFS resource and a request
+        holds it for its whole summed service time.  This is a different
+        model from the overlay, not a one-unit special case of it: a
+        request that logs no device op (a RAM-map TRIM, a read of an
+        unmapped page) still waits its FCFS turn here, whereas the
+        overlay completes it at once.  It is also the model for FTLs
+        with no device (nothing to take an op log from).
         """
         engine = Engine()
         device = Resource(engine, capacity=1)
-        slots = (
-            Resource(engine, capacity=arrival.queue_depth)
-            if arrival.queue_depth and not arrival.is_closed
-            else None
-        )
+        slots = self._admission_slots(engine, arrival)
 
         def one_request(
             request: IORequest, arrival_us: float
@@ -554,131 +577,36 @@ class SSD:
 
         self._drive(engine, trace, arrival, slots, one_request)
         result.simulated_us = engine.now
-        if slots is not None:
-            return {"timed.admission_wait_us": slots.wait_us}
-        return {}
+        return _timed_extras(engine.now, slots)
 
     def _service_profiled(
         self, request: IORequest
-    ) -> tuple[float, dict[int, list[float]]]:
+    ) -> tuple[float, dict[tuple[int, int], list[float]]]:
         """Service a request with the device op log armed.
 
-        Returns ``(latency, per_chip)`` where ``per_chip`` maps each
-        touched chip to its ``[transfer_us, array_us]`` totals for this
-        request (GC/merge/refresh work the request triggered included —
-        the synchronous stall a real device would impose).
-        """
-        device = self.ftl.device
-        device.begin_oplog()
-        latency = self.service(request)
-        ops = device.end_oplog()
-        per_chip: dict[int, list[float]] = {}
-        for chip, _plane, array_us, transfer_us in ops:
-            totals = per_chip.get(chip)
-            if totals is None:
-                per_chip[chip] = [transfer_us, array_us]
-            else:
-                totals[0] += transfer_us
-                totals[1] += array_us
-        return latency, per_chip
-
-    def _service_profiled_planes(
-        self, request: IORequest
-    ) -> tuple[float, dict[tuple[int, int], list[float]]]:
-        """Like :meth:`_service_profiled`, keyed by (chip, plane).
-
-        Fused multi-plane commands report one segment per plane sharing
-        the array time, so each plane's resource is held for the real
+        Returns ``(latency, per_unit)`` where ``per_unit`` maps each
+        touched ``(chip, plane)`` to its ``[transfer_us, array_us]``
+        totals for this request — GC/merge/refresh work the request
+        triggered included, the synchronous stall a real device would
+        impose.  Fused multi-plane commands report one segment per plane
+        sharing the array time, so each plane is held for the real
         (overlapped) duration.
         """
         device = self.ftl.device
         device.begin_oplog()
         latency = self.service(request)
         ops = device.end_oplog()
-        per_plane: dict[tuple[int, int], list[float]] = {}
+        per_unit: dict[tuple[int, int], list[float]] = {}
         for chip, plane, array_us, transfer_us in ops:
-            totals = per_plane.get((chip, plane))
+            totals = per_unit.get((chip, plane))
             if totals is None:
-                per_plane[(chip, plane)] = [transfer_us, array_us]
+                per_unit[(chip, plane)] = [transfer_us, array_us]
             else:
                 totals[0] += transfer_us
                 totals[1] += array_us
-        return latency, per_plane
+        return latency, per_unit
 
-    def _replay_timed_parallel(
-        self,
-        trace: Trace,
-        result: RunResult,
-        arrival: ArrivalSpec,
-        num_chips: int,
-        num_channels: int,
-    ) -> dict[str, float]:
-        """Channel-parallel timed replay (the multi-chip DES model).
-
-        The FTL runs synchronously at each request's dispatch (so its
-        state — mappings, GC, wear — evolves in arrival order exactly
-        as the serialized model's does), and the timing overlay then
-        queues the reported chip visits: each visit holds its chip for
-        transfer + array time, and the transfer portion additionally
-        holds the chip's channel bus.  A request completes when its
-        last chip visit does.
-        """
-        engine = Engine()
-        device = self.ftl.device
-        channel_of = device.geometry.channel_of_chip
-        chips = [Resource(engine) for _ in range(num_chips)]
-        buses = [Resource(engine) for _ in range(num_channels)]
-        slots = (
-            Resource(engine, capacity=arrival.queue_depth)
-            if arrival.queue_depth and not arrival.is_closed
-            else None
-        )
-
-        def chip_visit(
-            chip_index: int, transfer_us: float, array_us: float
-        ) -> Generator[Event, None, None]:
-            chip = chips[chip_index]
-            yield chip.request()
-            if transfer_us > 0.0:
-                bus = buses[channel_of(chip_index)]
-                yield bus.request()
-                yield engine.timeout(transfer_us)
-                bus.release()
-            if array_us > 0.0:
-                yield engine.timeout(array_us)
-            chip.release()
-
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            latency, per_chip = self._service_profiled(request)
-            if per_chip:
-                visits = [
-                    engine.process(chip_visit(chip, transfer_us, array_us))
-                    for chip, (transfer_us, array_us) in per_chip.items()
-                ]
-                yield engine.all_of(visits)
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
-
-        self._drive(engine, trace, arrival, slots, one_request)
-        makespan = engine.now
-        result.simulated_us = makespan
-        extra: dict[str, float] = {}
-        if makespan > 0.0:
-            chip_utils = [chip.utilization(makespan) for chip in chips]
-            bus_utils = [bus.utilization(makespan) for bus in buses]
-            extra["timed.chip_util_mean"] = sum(chip_utils) / len(chip_utils)
-            extra["timed.chip_util_max"] = max(chip_utils)
-            extra["timed.bus_util_max"] = max(bus_utils)
-            extra["timed.chip_wait_us"] = sum(chip.wait_us for chip in chips)
-            extra["timed.bus_wait_us"] = sum(bus.wait_us for bus in buses)
-            if slots is not None:
-                extra["timed.admission_wait_us"] = slots.wait_us
-        return extra
-
-    def _replay_timed_planes(
+    def _replay_timed_overlay(
         self,
         trace: Trace,
         result: RunResult,
@@ -687,56 +615,52 @@ class SSD:
         num_channels: int,
         planes_per_chip: int,
     ) -> dict[str, float]:
-        """Plane-parallel timed replay (``planes_per_chip > 1``).
+        """Plane-granular timed replay (every multi-unit topology).
 
-        One level below the chip model: a visit holds its *plane* for
-        transfer + array time, while the chip — the die's shared I/O
-        port — and the channel bus are held only during the transfer.
-        Sibling planes therefore overlap their array times (the whole
-        point of multi-plane commands), but their transfers still
-        serialize through the die and the bus, exactly the contention a
-        real multi-plane die has.
+        The FTL runs synchronously at each request's dispatch (so its
+        state evolves in arrival order exactly as in the serialized
+        model), and the overlay then queues the request's (chip, plane)
+        visits.  A visit holds its plane for transfer + array time; the
+        chip's die port and the channel bus are held only during the
+        transfer.  Sibling planes therefore overlap their array times
+        while their transfers serialize through the die and the bus, and
+        with one plane per chip the plane *is* the chip.  A request
+        completes when its last visit does — at once if it logged none.
         """
         engine = Engine()
-        device = self.ftl.device
-        channel_of = device.geometry.channel_of_chip
-        chips = [Resource(engine) for _ in range(num_chips)]
-        planes = [
-            [Resource(engine) for _ in range(planes_per_chip)]
-            for _ in range(num_chips)
-        ]
+        channel_of = self.ftl.device.geometry.channel_of_chip
+        ports = [Resource(engine) for _ in range(num_chips)]
         buses = [Resource(engine) for _ in range(num_channels)]
-        slots = (
-            Resource(engine, capacity=arrival.queue_depth)
-            if arrival.queue_depth and not arrival.is_closed
-            else None
-        )
+        bus_of = [buses[channel_of(chip)] for chip in range(num_chips)]
+        # chip-major: unit (chip, plane) is units[chip * planes_per_chip + plane].
+        units = [Resource(engine) for _ in range(num_chips * planes_per_chip)]
+        slots = self._admission_slots(engine, arrival)
 
-        def plane_visit(
-            chip_index: int, plane_index: int, transfer_us: float, array_us: float
+        def visit(
+            chip: int, plane: int, transfer_us: float, array_us: float
         ) -> Generator[Event, None, None]:
-            plane = planes[chip_index][plane_index]
-            yield plane.request()
+            unit = units[chip * planes_per_chip + plane]
+            yield unit.request()
             if transfer_us > 0.0:
-                chip = chips[chip_index]
-                yield chip.request()
-                bus = buses[channel_of(chip_index)]
+                port = ports[chip]
+                yield port.request()
+                bus = bus_of[chip]
                 yield bus.request()
                 yield engine.timeout(transfer_us)
                 bus.release()
-                chip.release()
+                port.release()
             if array_us > 0.0:
                 yield engine.timeout(array_us)
-            plane.release()
+            unit.release()
 
         def one_request(
             request: IORequest, arrival_us: float
         ) -> Generator[Event, None, None]:
-            latency, per_plane = self._service_profiled_planes(request)
-            if per_plane:
+            latency, per_unit = self._service_profiled(request)
+            if per_unit:
                 visits = [
-                    engine.process(plane_visit(chip, plane, transfer_us, array_us))
-                    for (chip, plane), (transfer_us, array_us) in per_plane.items()
+                    engine.process(visit(chip, plane, transfer_us, array_us))
+                    for (chip, plane), (transfer_us, array_us) in per_unit.items()
                 ]
                 yield engine.all_of(visits)
             if slots is not None:
@@ -744,25 +668,10 @@ class SSD:
             self._account_timed(result, request, latency, engine.now - arrival_us)
 
         self._drive(engine, trace, arrival, slots, one_request)
-        makespan = engine.now
-        result.simulated_us = makespan
-        extra: dict[str, float] = {}
-        if makespan > 0.0:
-            plane_utils = [
-                plane.utilization(makespan) for per_chip in planes for plane in per_chip
-            ]
-            bus_utils = [bus.utilization(makespan) for bus in buses]
-            extra["timed.plane_util_mean"] = sum(plane_utils) / len(plane_utils)
-            extra["timed.plane_util_max"] = max(plane_utils)
-            extra["timed.bus_util_max"] = max(bus_utils)
-            extra["timed.plane_wait_us"] = sum(
-                plane.wait_us for per_chip in planes for plane in per_chip
-            )
-            extra["timed.chip_wait_us"] = sum(chip.wait_us for chip in chips)
-            extra["timed.bus_wait_us"] = sum(bus.wait_us for bus in buses)
-            if slots is not None:
-                extra["timed.admission_wait_us"] = slots.wait_us
-        return extra
+        result.simulated_us = engine.now
+        return _timed_extras(
+            engine.now, slots, units, ports, buses, plane_granular=planes_per_chip > 1
+        )
 
     def _finalize(self, result: RunResult) -> None:
         stats = getattr(self.ftl, "stats", None)

@@ -53,8 +53,8 @@ def _assert_equal(path: str, expected, actual) -> None:
         assert expected == actual, f"{path}: {expected!r} != {actual!r}"
 
 
-#: capture() entries beyond the ReplaySpec matrix: the pre-refactor
-#: single-chip timed run, the PR 5 channel-parallel timed run, and the
+#: capture() entries beyond the sequential matrix: the single-chip
+#: serialized timed run, the multi-chip overlay run, and the
 #: plane-overlay / closed-loop runs.
 TIMED_RUNS = {
     "conventional/timed",

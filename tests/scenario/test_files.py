@@ -151,11 +151,13 @@ class TestCommittedExamples:
 
     @pytest.mark.parametrize("value", ["0.0", "-2.5"])
     def test_non_positive_arrival_scale_rejected_with_dotted_path(self, value):
-        # Both the [arrival] section and the deprecated top-level shim
-        # report the canonical dotted path.
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
             parse_scenario_file(
                 f'mode = "timed"\n[arrival]\nscale = {value}\n', fmt="toml"
             )
-        with pytest.raises(ConfigError, match=r"arrival\.scale"):
-            parse_scenario_file(f'mode = "timed"\narrival_scale = {value}\n', fmt="toml")
+
+    @pytest.mark.parametrize("key", ["queue_depth", "arrival_scale"])
+    def test_top_level_queue_knobs_are_unknown_fields(self, key):
+        # The [arrival] section is the only spelling of the queue knobs.
+        with pytest.raises(ConfigError, match=f"unknown scenario field '{key}'"):
+            parse_scenario_file(f'mode = "timed"\n{key} = 4\n', fmt="toml")

@@ -255,17 +255,16 @@ def test_closed_loop_and_planes_survive_roundtrip():
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
-def test_legacy_queueing_knobs_fold_into_the_arrival_section():
-    """The deprecated top-level spellings canonicalize: the folded spec
-    serializes (and hashes) identically to the [arrival] spelling."""
-    with pytest.warns(DeprecationWarning, match=r"\[arrival\] section"):
-        legacy = ScenarioSpec(mode="timed", queue_depth=64, arrival_scale=16.0)
-    modern = ScenarioSpec(
-        mode="timed", arrival=ArrivalSpec(queue_depth=64, scale=16.0)
-    )
-    assert legacy == modern
-    assert spec_to_toml(legacy) == spec_to_toml(modern)
-    assert legacy.queue_depth == 0 and legacy.arrival_scale == 1.0
+def test_queueing_knobs_serialize_in_the_arrival_section():
+    """The queue knobs have one spelling, the [arrival] section: that is
+    where they serialize, and a top-level spelling does not parse."""
+    spec = ScenarioSpec(mode="timed", arrival=ArrivalSpec(queue_depth=64, scale=16.0))
+    as_dict = spec_to_dict(spec)
+    assert as_dict["arrival"]["queue_depth"] == 64
+    assert as_dict["arrival"]["scale"] == 16.0
+    assert "queue_depth" not in as_dict and "arrival_scale" not in as_dict
+    with pytest.raises(ConfigError, match="unknown scenario field 'queue_depth'"):
+        spec_from_dict({"mode": "timed", "queue_depth": 64})
 
 
 # -- error reporting ---------------------------------------------------

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.bench.memo import ReplayRunner, ReplaySpec
+from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
-from repro.scenario.run import build_trace, run_scenario, run_scenarios
+from repro.scenario.run import build_trace, execute_scenario, run_scenario, run_scenarios
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.replay import replay_trace
 
 #: one tiny scenario shared by the module (the expensive part).
 SMOKE = ScenarioSpec(
@@ -17,64 +16,22 @@ SMOKE = ScenarioSpec(
 )
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestEngineEquivalence:
     def test_run_scenario_matches_replay_trace(self):
-        """The declarative path and the legacy shim are one engine."""
-        trace = build_trace(SMOKE)
-        legacy = replay_trace(
-            trace,
-            SMOKE.device,
-            ftl_kind=SMOKE.ftl,
-            warm_fill_fraction=SMOKE.footprint_fraction,
-        )
+        """The memoized declarative path and a direct replay of the
+        prebuilt trace are one engine."""
+        direct = execute_scenario(SMOKE, build_trace(SMOKE))
         declarative = run_scenario(SMOKE)
-        assert declarative.read_us == legacy.read_us
-        assert declarative.write_us == legacy.write_us
-        assert declarative.erase_count == legacy.erase_count
-        assert declarative.mean_read_page_us == legacy.mean_read_page_us
-
-    def test_replayspec_shim_converts_losslessly(self):
-        shim = ReplaySpec(
-            workload="uniform",
-            num_requests=800,
-            blocks_per_chip=64,
-            speed_ratio=4.0,
-            ftl="ppb",
-            reliability=ReliabilityConfig(),
-            refresh=True,
-            retention_age_s=3600.0,
-        )
-        scenario = shim.to_scenario()
-        assert scenario.device == shim.device_spec()
-        assert scenario.trace_key() == shim.trace_key()
-        assert scenario.ftl == "ppb" and scenario.refresh
-        assert scenario.retention_age_s == 3600.0
-
-    def test_runner_accepts_both_spec_types_with_one_cache(self):
-        runner = ReplayRunner()
-        shim = ReplaySpec(workload="uniform", num_requests=800, blocks_per_chip=64)
-        first = runner.run(shim)
-        second = runner.run(shim.to_scenario())
-        assert first is second
-        assert runner.stats.misses == 1
-        assert runner.stats.hits == 1
+        assert declarative.read_us == direct.read_us
+        assert declarative.write_us == direct.write_us
+        assert declarative.erase_count == direct.erase_count
+        assert declarative.mean_read_page_us == direct.mean_read_page_us
 
     def test_runner_rejects_other_types(self):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError, match="ScenarioSpec"):
             ReplayRunner().run("not a spec")
-
-    def test_replayspec_warns_with_equivalent_snippet(self):
-        with pytest.warns(DeprecationWarning, match="ReplaySpec is deprecated") as w:
-            ReplaySpec(
-                workload="uniform", num_requests=800, blocks_per_chip=64, ftl="ppb"
-            )
-        message = str(w[0].message)
-        assert "ScenarioSpec(" in message
-        assert "workload='uniform'" in message
-        assert "ftl='ppb'" in message
 
 
 class TestMemoization:

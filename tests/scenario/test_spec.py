@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.spec import ScenarioSpec
+from repro.sim.arrival import ArrivalSpec
 
 
 class TestValidation:
@@ -113,19 +114,28 @@ class TestConvenience:
 class TestTimedKnobs:
     def test_defaults_are_open_loop(self):
         spec = ScenarioSpec()
-        assert spec.queue_depth == 0
-        assert spec.arrival_scale == 1.0
+        assert spec.arrival is None
+        assert spec.effective_arrival == ArrivalSpec()
+        assert not spec.effective_arrival.is_closed
 
     def test_negative_queue_depth_rejected(self):
-        with pytest.raises(ConfigError, match="queue_depth"):
-            ScenarioSpec(queue_depth=-1)
+        with pytest.raises(ConfigError, match=r"arrival\.queue_depth"):
+            ScenarioSpec(arrival=ArrivalSpec(queue_depth=-1))
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_non_positive_arrival_scale_rejected(self, value):
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
-            ScenarioSpec(arrival_scale=value)
+            ScenarioSpec(arrival=ArrivalSpec(scale=value))
 
     def test_describe_shows_queueing_knobs_in_timed_mode(self):
-        spec = ScenarioSpec(mode="timed", arrival_scale=16.0, queue_depth=64)
+        arrival = ArrivalSpec(scale=16.0, queue_depth=64)
+        spec = ScenarioSpec(mode="timed", arrival=arrival)
         assert "timed(x16, qd=64)" in spec.describe()
-        assert "timed" not in ScenarioSpec(arrival_scale=16.0).describe()
+        assert "timed" not in ScenarioSpec(arrival=arrival).describe()
+
+    def test_top_level_queue_knobs_are_gone(self):
+        """The arrival section is the only spelling of the queue knobs."""
+        with pytest.raises(TypeError):
+            ScenarioSpec(queue_depth=64)
+        with pytest.raises(TypeError):
+            ScenarioSpec(arrival_scale=16.0)

@@ -1,12 +1,14 @@
-"""Tests for the one-call trace replay helper."""
+"""Tests for the FTL registry and replaying a prebuilt trace."""
 
 import pytest
 
 from repro.core.config import PPBConfig
 from repro.errors import ConfigError
 from repro.nand.spec import tiny_spec
-from repro.sim.replay import make_ftl, replay_trace
 from repro.nand.device import NandDevice
+from repro.scenario.run import execute_scenario
+from repro.scenario.spec import ScenarioSpec
+from repro.sim.replay import make_ftl
 from repro.traces.workloads import UniformWorkload
 
 
@@ -36,47 +38,33 @@ class TestMakeFtl:
             make_ftl("bogus", NandDevice(tiny_spec()))
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestReplayTrace:
-    """The shim keeps working (these tests ARE its deprecation period)."""
+def _replay(trace, ftl, warm_fill_fraction=0.9):
+    """Replay a prebuilt trace on a fresh ``tiny_spec`` device."""
+    spec = ScenarioSpec(
+        device=tiny_spec(), ftl=ftl, warm_fill_fraction=warm_fill_fraction
+    )
+    return execute_scenario(spec, trace)
 
-    @pytest.mark.parametrize("kind", ["conventional", "fast", "ppb"])
+
+class TestReplayTrace:
+    """A prebuilt trace replays end to end through ``execute_scenario``."""
+
+    @pytest.mark.parametrize("kind", ["conventional", "fast", "ppb", "dftl"])
     def test_end_to_end(self, small_trace, kind):
-        result = replay_trace(small_trace, tiny_spec(), ftl_kind=kind)
+        result = _replay(small_trace, kind)
         assert result.num_requests == len(small_trace)
         assert result.read_us >= 0
         assert result.write_us > 0
 
     def test_warm_fill_ages_device(self, small_trace):
-        aged = replay_trace(
-            small_trace, tiny_spec(), "conventional", warm_fill_fraction=0.9
-        )
-        fresh = replay_trace(
-            small_trace, tiny_spec(), "conventional", warm_fill_fraction=0.0
-        )
+        aged = _replay(small_trace, "conventional", warm_fill_fraction=0.9)
+        fresh = _replay(small_trace, "conventional", warm_fill_fraction=0.0)
         # the aged device has to garbage collect more
         assert aged.erase_count >= fresh.erase_count
 
     def test_deterministic(self, small_trace):
-        a = replay_trace(small_trace, tiny_spec(), "ppb")
-        b = replay_trace(small_trace, tiny_spec(), "ppb")
+        a = _replay(small_trace, "ppb")
+        b = _replay(small_trace, "ppb")
         assert a.read_us == b.read_us
         assert a.write_us == b.write_us
         assert a.erase_count == b.erase_count
-
-
-class TestDeprecation:
-    def test_replay_trace_warns_with_equivalent_spec(self, small_trace):
-        with pytest.warns(DeprecationWarning, match="replay_trace is deprecated"):
-            replay_trace(small_trace, tiny_spec(), ftl_kind="ppb")
-
-    def test_warning_spells_out_the_scenario_spec(self, small_trace):
-        with pytest.warns(DeprecationWarning) as caught:
-            replay_trace(small_trace, tiny_spec(), ftl_kind="ppb", mode="timed")
-        message = str(caught[0].message)
-        # The snippet is pasteable: names the engine and the non-default
-        # fields of the equivalent spec.
-        assert "execute_scenario" in message
-        assert "ScenarioSpec(" in message
-        assert "ftl='ppb'" in message
-        assert "mode='timed'" in message

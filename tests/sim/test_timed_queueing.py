@@ -160,13 +160,81 @@ class TestHostKnobs:
         ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
         trace = Trace([IORequest(OpType.WRITE, 0, spec.page_size)])
         with pytest.raises(ConfigError, match=r"arrival\.queue_depth"):
-            ssd.replay(trace, mode="timed", queue_depth=-1)
+            ssd.replay(trace, mode="timed", arrival=ArrivalSpec(queue_depth=-1))
         with pytest.raises(ConfigError, match=r"arrival\.scale"):
-            ssd.replay(trace, mode="timed", arrival_scale=0.0)
-        with pytest.raises(ConfigError, match="not both"):
-            ssd.replay(
-                trace, mode="timed", queue_depth=4, arrival=ArrivalSpec()
-            )
+            ssd.replay(trace, mode="timed", arrival=ArrivalSpec(scale=0.0))
+        # The arrival section is the only spelling of the queue knobs.
+        with pytest.raises(TypeError, match="queue_depth"):
+            ssd.replay(trace, mode="timed", queue_depth=4)
+
+
+class TestTwoDeviceModels:
+    """Why the single-unit device keeps its own serialized model."""
+
+    def _responses(self, num_chips):
+        spec = tiny_spec(num_chips=num_chips)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        trace = Trace(
+            [
+                IORequest(OpType.WRITE, 0, spec.page_size, timestamp_us=0.0),
+                IORequest(OpType.TRIM, spec.page_size, spec.page_size, timestamp_us=0.0),
+            ]
+        )
+        result = ssd.replay(trace, mode="timed")
+        return result.write_response_times_us, result.trim_response_times_us
+
+    def test_deviceless_trim_waits_its_turn_on_one_chip(self):
+        """Serialized: the RAM-map TRIM touches no flash but still waits
+        behind the write for the single FCFS back end."""
+        (write,), (trim,) = self._responses(1)
+        assert write > 0.0
+        assert trim == write
+
+    def test_deviceless_trim_completes_at_once_in_the_overlay(self):
+        """Overlay: a request that logs no device op holds no unit."""
+        (write,), (trim,) = self._responses(2)
+        assert write > 0.0
+        assert trim == 0.0
+
+
+class TestTimedExtras:
+    """Each topology reports one fixed set of ``timed.*`` extras."""
+
+    BUS = {"timed.bus_util_max", "timed.bus_wait_us"}
+
+    @staticmethod
+    def _timed_keys(result):
+        return {key for key in result.extra if key.startswith("timed.")}
+
+    def test_key_set_per_topology(self):
+        bounded = ArrivalSpec(scale=24.0, queue_depth=4)
+        single = _run(device=_device(1, 1), arrival=bounded)
+        assert self._timed_keys(single) == {"timed.admission_wait_us"}
+        chips = _run(device=_device(4, 2))
+        assert self._timed_keys(chips) == self.BUS | {
+            "timed.chip_util_mean",
+            "timed.chip_util_max",
+            "timed.chip_wait_us",
+        }
+        planes = _run(
+            device=sim_spec(blocks_per_chip=32, num_chips=4, num_channels=2, planes_per_chip=2)
+        )
+        assert self._timed_keys(planes) == self.BUS | {
+            "timed.plane_util_mean",
+            "timed.plane_util_max",
+            "timed.plane_wait_us",
+            "timed.chip_wait_us",
+        }
+
+    def test_admission_wait_reported_with_zero_makespan(self):
+        """A queue bound always reports its wait, even when no request
+        busied the device and no simulated time passed."""
+        spec = tiny_spec(num_chips=2)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        trace = Trace([IORequest(OpType.TRIM, 0, spec.page_size)])
+        result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(queue_depth=1))
+        assert result.simulated_us == 0.0
+        assert self._timed_keys(result) == {"timed.admission_wait_us"}
 
 
 class TestClosedLoop:
