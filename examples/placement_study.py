@@ -14,12 +14,20 @@ hammers hardest.  This study walks the trade-off with numbers:
 Run:  python examples/placement_study.py
 """
 
-from repro.bench.placement import PlacementSweepSpec, run_placement_sweep
+import os
+
+from repro.bench.memo import ReplayRunner
 from repro.core.placement import ReliabilityAwarePlacement
 from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig, ReliabilityManager
 from repro.reliability.retention import SECONDS_PER_HOUR
+from repro.scenario import SweepAxis, load_scenario_file, sweep
+from repro.scenario.report import sweep_table
+
+FRONTIER_FILE = os.path.join(
+    os.path.dirname(__file__), "scenarios", "placement_frontier.toml"
+)
 
 
 def show_utility_decision() -> None:
@@ -54,16 +62,23 @@ def show_utility_decision() -> None:
 
 
 def show_frontier() -> None:
-    """A small placement sweep (the CLI runs the full one)."""
-    sweep = PlacementSweepSpec(
-        speed_ratios=(2.0,),
-        skews=(0.95,),
-        weights=(0.0, 2.0, 8.0),
+    """A narrowed ``placement_frontier.toml``: one speed ratio and skew
+    (``repro scenario run`` on the file runs the full grid)."""
+    bundle = load_scenario_file(FRONTIER_FILE)
+    base = bundle.base.with_(
         num_requests=4_000,
-        blocks_per_chip=64,
+        workload_kwargs={"zipf_theta": 0.95},
+        device=bundle.base.device.replace(speed_ratio=2.0, blocks_per_chip=64),
     )
+    axes = [
+        SweepAxis("ppb.reliability_weight", (0.0, 2.0, 8.0)),
+        SweepAxis("ftl", ("conventional", "fast", "ppb")),
+    ]
+    specs = sweep(base, axes)
     print()
-    print(run_placement_sweep(sweep).render())
+    with ReplayRunner() as runner:
+        results = runner.run_many(specs)
+        print(sweep_table(specs, results, axes, memo=runner.stats, title=bundle.name))
 
 
 def main() -> None:

@@ -15,13 +15,21 @@ walks the causal chain with numbers:
 Run:  python examples/reliability_study.py
 """
 
+import os
+
 from repro.analysis.charts import ascii_bars
 from repro.analysis.tables import ascii_table
-from repro.bench.reliability import ReliabilitySweepSpec, run_reliability_sweep
+from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
 from repro.reliability.ecc import EccModel
 from repro.reliability.retention import SECONDS_PER_HOUR, RetentionModel
 from repro.reliability.variation import VariationModel
+from repro.scenario import SweepAxis, load_scenario_file, sweep
+from repro.scenario.report import sweep_table
+
+SWEEP_FILE = os.path.join(
+    os.path.dirname(__file__), "scenarios", "reliability_sweep.toml"
+)
 
 
 def show_layer_variation() -> None:
@@ -68,13 +76,21 @@ def show_retry_staircase() -> None:
 
 
 def show_sweep() -> None:
+    """A narrowed ``reliability_sweep.toml``: one speed ratio, three ages."""
     print()
-    report = run_reliability_sweep(ReliabilitySweepSpec(
-        num_requests=5_000,
-        speed_ratios=(4.0,),
-        ages_hours=(0.0, 24.0, 720.0),
-    ))
-    print(report.render())
+    bundle = load_scenario_file(SWEEP_FILE)
+    base = bundle.base.with_(
+        num_requests=5_000, device=bundle.base.device.replace(speed_ratio=4.0)
+    )
+    axes = [
+        SweepAxis("retention_age_s", (0.0, 24.0 * SECONDS_PER_HOUR, 720.0 * SECONDS_PER_HOUR)),
+        SweepAxis("refresh", (False, True)),
+    ]
+    specs = sweep(base, axes)
+    with ReplayRunner() as runner:
+        results = runner.run_many(specs)
+        print(sweep_table(specs, results, axes, memo=runner.stats, title=bundle.name))
+    print("(read - retry us/pg on a refresh = false row is the latency-only read cost)")
 
 
 if __name__ == "__main__":

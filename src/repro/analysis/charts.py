@@ -29,42 +29,6 @@ def ascii_bars(
     return "\n".join(out)
 
 
-def ascii_matrix(
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    values: Sequence[Sequence[float]],
-    title: str | None = None,
-    unit: str = "",
-    digits: int = 1,
-) -> str:
-    """A labeled grid of numbers — a text stand-in for a heatmap.
-
-    Used by the reliability scenario to show one metric over the
-    retention-age x speed-ratio sweep plane at a glance.
-    """
-    if len(values) != len(row_labels):
-        raise ValueError("values must have one row per row label")
-    cells = [[""] + [str(c) for c in col_labels]]
-    for label, row in zip(row_labels, values):
-        if len(row) != len(col_labels):
-            raise ValueError("every row needs one value per column label")
-        cells.append([str(label)] + [f"{v:.{digits}f}{unit}" for v in row])
-    widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
-    out: list[str] = []
-    if title:
-        out.append(title)
-    for i, row in enumerate(cells):
-        out.append(
-            "  ".join(
-                c.ljust(w) if j == 0 else c.rjust(w)
-                for j, (c, w) in enumerate(zip(row, widths))
-            )
-        )
-        if i == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out)
-
-
 def ascii_series(
     x_labels: Sequence[str],
     series: dict[str, Sequence[float]],

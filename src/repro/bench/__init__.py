@@ -4,10 +4,9 @@
 caches results so figures sharing cells (e.g. Figs. 13 and 16 use the
 same runs) pay once.  :mod:`repro.bench.figures` parameterizes the
 cells per paper artifact and renders paper-style reports.
-:mod:`repro.bench.memo` generalizes the memoization to arbitrary trace
-replays; the sweep scenarios (:mod:`repro.bench.reliability`,
-:mod:`repro.bench.placement`) build on it so their baselines never
-replay twice.
+:mod:`repro.bench.memo` generalizes the memoization to arbitrary
+scenario replays; every scenario-file sweep runs through it, so no
+identical replay runs twice.
 """
 
 from repro.bench.experiment import (
@@ -19,8 +18,6 @@ from repro.bench.experiment import (
     SMOKE_SCALE,
 )
 from repro.bench.memo import ReplayRunner
-from repro.bench.placement import PlacementSweepSpec, run_placement_sweep
-from repro.bench.reliability import ReliabilitySweepSpec, run_reliability_sweep
 from repro.bench.figures import (
     FigureReport,
     figure12,
@@ -41,10 +38,6 @@ __all__ = [
     "FULL_SCALE",
     "SMOKE_SCALE",
     "ReplayRunner",
-    "PlacementSweepSpec",
-    "run_placement_sweep",
-    "ReliabilitySweepSpec",
-    "run_reliability_sweep",
     "FigureReport",
     "table1",
     "figure12",

@@ -1,19 +1,19 @@
 """Memoized scenario replays: never run the same simulation twice.
 
-The sweep scenarios (``repro reliability``, ``repro placement``, the
-generic ``repro sweep``) share a shape: a sweep point varies one knob
-(retention age, placement weight) while its *baseline* replays — the
-latency-only reference, the speed-oblivious FTLs, pure-speed PPB — do
-not depend on that knob and would otherwise be replayed identically at
-every point.
+Every sweep (``repro scenario run`` on a file with ``[[sweep]]`` axes,
+``repro sweep``) shares a shape: a sweep point varies one knob
+(retention age, placement weight) while some of its replays — the
+speed-oblivious FTLs on a PPB-weight axis, say — do not depend on that
+knob and would otherwise be replayed identically at every point.
 
-The **canonical cache key is the**
-:class:`~repro.scenario.spec.ScenarioSpec` itself: frozen, hashable and
-total, so two requests collide exactly when they describe the same
-simulation.  :class:`ReplayRunner` executes specs on demand, caches
-traces by :meth:`ScenarioSpec.trace_key` and results by the full spec,
-and counts hits and misses so the scenarios can *prove* no identical
-replay ran twice.
+The **cache key is** :meth:`ScenarioSpec.memo_key
+<repro.scenario.spec.ScenarioSpec.memo_key>`: the frozen, hashable,
+total spec minus a ``[ppb]`` section that a non-PPB FTL never reads, so
+two requests collide exactly when they describe the same simulation.
+:class:`ReplayRunner` executes specs on demand, caches traces by
+:meth:`ScenarioSpec.trace_key` and results by the memo key, and counts
+hits and misses so a sweep report can *prove* no identical replay ran
+twice.
 
 Parallel execution
 ------------------
@@ -25,7 +25,7 @@ deterministic simulation, so the results are byte-identical to
 single-process execution regardless of scheduling; ``workers=1`` (the
 default) never spawns a pool and behaves exactly as before.  Worker
 processes build their own traces, so :attr:`ReplayMemoStats.trace_builds`
-counts only parent-side builds.
+counts only parent-side builds (and sweep reports do not print it).
 
 The pool is created lazily on the first parallel batch and then **kept
 alive across** :meth:`run_many` calls, so a CLI invocation that runs
@@ -56,11 +56,6 @@ class ReplayMemoStats:
     misses: int = 0
     trace_builds: int = 0
 
-    @property
-    def replays_saved(self) -> int:
-        """Identical replays the cache absorbed."""
-        return self.hits
-
 
 def _execute_specs(specs: list[ScenarioSpec]) -> list[RunResult]:
     """Process-pool entry point: run a batch of specs in a fresh runner.
@@ -87,8 +82,9 @@ class ReplayRunner:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._traces: dict[tuple, Trace] = {}
+        #: results by :meth:`ScenarioSpec.memo_key`.
         self._results: dict[ScenarioSpec, RunResult] = {}
-        #: pool-executed specs whose first :meth:`run` fetch must not
+        #: pool-executed memo keys whose first :meth:`run` fetch must not
         #: count as a memo hit — keeps the hit/miss accounting (and the
         #: sweep reports rendered from it) byte-identical to
         #: single-process execution.
@@ -139,43 +135,43 @@ class ReplayRunner:
         """
         if not isinstance(spec, ScenarioSpec):
             raise ConfigError(f"expected a ScenarioSpec, got {type(spec).__name__}")
-        if spec in self._results:
-            if spec in self._fresh:
+        key = spec.memo_key()
+        if key in self._results:
+            if key in self._fresh:
                 # First fetch of a pool-executed result: the pool run
                 # already counted the miss, so this is not a cache hit.
-                self._fresh.discard(spec)
+                self._fresh.discard(key)
             else:
                 self.stats.hits += 1
-            return self._results[spec]
+            return self._results[key]
         self.stats.misses += 1
-        result = execute_scenario(spec, self.trace_for(spec))
-        self._results[spec] = result
+        result = execute_scenario(key, self.trace_for(key))
+        self._results[key] = result
         return result
 
-    def prefetch(self, specs: Iterable[ScenarioSpec]) -> None:
+    def _prefetch(self, specs: list[ScenarioSpec]) -> None:
         """Execute the uncached specs of a batch in the process pool.
 
-        No-op with ``workers == 1`` (or when at most one spec is
-        uncached).  Each executed spec is counted as one miss — exactly
+        No-op with ``workers == 1`` (or when at most one memo key is
+        uncached).  Each executed key is counted as one miss — exactly
         what a sequential execution would record — and its *first*
         subsequent :meth:`run` fetch is not counted as a hit, so the
-        sweeps' memo accounting (which their reports render) is
-        byte-identical whether or not a pool ran.
+        memo accounting a sweep report renders is byte-identical
+        whether or not a pool ran.
         """
         if self.workers <= 1:
             return
-        pending: list[ScenarioSpec] = []
-        seen: set[ScenarioSpec] = set()
-        for spec in specs:
-            if spec not in self._results and spec not in seen:
-                seen.add(spec)
-                pending.append(spec)
+        pending = [
+            key
+            for key in dict.fromkeys(spec.memo_key() for spec in specs)
+            if key not in self._results
+        ]
         if len(pending) <= 1:
             return
         # Order specs so same-trace variants sit together, then chunk
         # contiguously into one batch per worker: chunks mostly stay
         # within a trace (few duplicate builds) but a grid dominated by
-        # one trace — the reliability sweep — still fans out across
+        # one trace — ``reliability_sweep.toml`` — still fans out across
         # every worker.
         groups: dict[tuple, list[ScenarioSpec]] = {}
         for spec in pending:
@@ -195,10 +191,10 @@ class ReplayRunner:
         """Run (or fetch) a batch of specs; returns results in order.
 
         With ``workers > 1`` the uncached specs execute concurrently
-        via :meth:`prefetch` — reusing one long-lived pool across calls
+        in the process pool — reusing one long-lived pool across calls
         — and with ``workers == 1`` this is just ``[self.run(s) for s
         in specs]``.  Either way the memo stats come out the same.
         """
         spec_list = list(specs)
-        self.prefetch(spec_list)
+        self._prefetch(spec_list)
         return [self.run(spec) for spec in spec_list]

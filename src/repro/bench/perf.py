@@ -34,11 +34,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.bench.memo import ReplayRunner
-from repro.bench.placement import default_placement_reliability
 from repro.errors import ConfigError
 from repro.ftl.transmap import MappingConfig
 from repro.reliability.faults import FaultSpec
 from repro.nand.spec import sim_spec
+from repro.reliability.manager import ReliabilityConfig
 from repro.reliability.retention import SECONDS_PER_HOUR
 from repro.scenario.run import execute_scenario
 from repro.scenario.spec import ScenarioSpec
@@ -146,6 +146,8 @@ def perf_scale(smoke: bool | None = None) -> PerfScale:
 
 def perf_cases(scale: PerfScale) -> list[PerfCase]:
     """The timed replay matrix: every FTL, plus the reliability stack."""
+    # read disturb on, and gating refresh (the placement-study stack)
+    rel = ReliabilityConfig(disturb_coeff=8.0, refresh_disturb_reads=2_000)
     base = ScenarioSpec(
         workload="web-sql",
         num_requests=scale.num_requests,
@@ -159,7 +161,7 @@ def perf_cases(scale: PerfScale) -> list[PerfCase]:
         PerfCase(
             "reliability/refresh",
             base.with_(
-                reliability=default_placement_reliability(),
+                reliability=rel,
                 refresh=True,
                 retention_age_s=720.0 * SECONDS_PER_HOUR,
             ),
@@ -233,7 +235,7 @@ def perf_cases(scale: PerfScale) -> list[PerfCase]:
                     num_chips=4,
                     num_channels=2,
                 ),
-                reliability=default_placement_reliability().replace(
+                reliability=rel.replace(
                     state_skew=2.0, randomizer=0.5, refresh_triage="holds"
                 ),
                 refresh=True,

@@ -6,20 +6,16 @@ Subcommands
     Regenerate a paper artifact and print the paper-style report.
 ``run``
     Replay one workload on one FTL and print the run summary.
-``reliability``
-    Sweep speed-ratio x retention-age through the reliability stack
-    (process variation, retention RBER, ECC read-retry, refresh) and
-    print the lifetime/latency trade-off report.
-``placement``
-    Sweep speed-ratio x hotness-skew across all three FTLs plus PPB at
-    several reliability weights, and print the speed-vs-lifetime
-    placement frontier.
 ``scenario run FILE``
     Execute a declarative scenario file (``.toml``/``.json``; see
     :mod:`repro.scenario`): a single run, or — when the file carries
     ``[[sweep]]`` axes — the expanded cross-product.  ``--set
     path=value`` overrides any dotted field for quick variations;
-    ``--smoke`` clamps the size for CI.
+    ``--smoke`` clamps the size for CI.  The reliability and placement
+    sweeps are files: ``examples/scenarios/reliability_sweep.toml``
+    (speed ratio x retention age x refresh) and
+    ``examples/scenarios/placement_frontier.toml`` (speed ratio x
+    hotness skew x PPB reliability weight x FTL).
 ``sweep``
     The generic sweep engine: ``--set path=v1,v2,...`` turns any dotted
     scenario field (``device.speed_ratio``, ``ppb.reliability_weight``,
@@ -40,9 +36,8 @@ Subcommands
     files/directories.  Exits 0 when clean, 1 with findings.
 
 The sweep subcommands take ``--workers N`` to fan their replay grids
-across worker processes (results are byte-identical to ``--workers 1``;
-the pool is spawned once and reused across the invocation's sweeps —
-see :mod:`repro.bench.memo`).
+across worker processes (output is byte-identical to ``--workers 1``,
+memo line included; see :mod:`repro.bench.memo`).
 """
 
 from __future__ import annotations
@@ -63,23 +58,9 @@ from repro.bench.perf import (
     run_perf,
     write_report,
 )
-from repro.bench.placement import (
-    DEFAULT_SKEWS,
-    DEFAULT_WEIGHTS,
-    SKEWABLE_WORKLOADS,
-    PlacementSweepSpec,
-    run_placement_sweep,
-)
-from repro.bench.reliability import (
-    DEFAULT_AGES_HOURS,
-    DEFAULT_SPEED_RATIOS,
-    ReliabilitySweepSpec,
-    run_reliability_sweep,
-)
 from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec, table1_spec
-from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.report import summarize_result, sweep_table, timed_summary_lines
 from repro.scenario.serialize import ScenarioFile, load_scenario_file
 from repro.scenario.spec import ScenarioSpec
@@ -173,88 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="timed mode: divide trace inter-arrival gaps by this "
         "(open-loop intensity knob)",
-    )
-
-    rel = sub.add_parser(
-        "reliability",
-        help="sweep speed-ratio x retention-age through the reliability stack",
-    )
-    rel.add_argument("--workload", choices=sorted(_WORKLOADS), default="web-sql")
-    rel.add_argument(
-        "--ftl", choices=["conventional", "fast", "ppb", "dftl"], default="conventional"
-    )
-    rel.add_argument("--requests", type=int, default=8_000)
-    rel.add_argument("--blocks", type=int, default=96, help="blocks per chip")
-    rel.add_argument(
-        "--speed-ratios",
-        type=_float_list,
-        default=DEFAULT_SPEED_RATIOS,
-        metavar="R1,R2,...",
-        help="speed-difference sweep points (default: 2,4)",
-    )
-    rel.add_argument(
-        "--ages",
-        type=_float_list,
-        default=DEFAULT_AGES_HOURS,
-        metavar="H1,H2,...",
-        help="retention ages in hours (default: 0,24,720,2160)",
-    )
-    rel.add_argument("--seed", type=int, default=42)
-    rel.add_argument(
-        "--base-rber",
-        type=float,
-        default=ReliabilityConfig().base_rber,
-        help="RBER of a fresh median bottom-layer page",
-    )
-    rel.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep grid (1 = in-process)",
-    )
-
-    place = sub.add_parser(
-        "placement",
-        help="sweep speed-ratio x hotness-skew; the placement frontier across FTLs",
-    )
-    place.add_argument(
-        "--workload", choices=sorted(SKEWABLE_WORKLOADS), default="web-sql"
-    )
-    place.add_argument("--requests", type=int, default=8_000)
-    place.add_argument("--blocks", type=int, default=96, help="blocks per chip")
-    place.add_argument(
-        "--speed-ratios",
-        type=_float_list,
-        default=DEFAULT_SPEED_RATIOS,
-        metavar="R1,R2,...",
-        help="speed-difference sweep points (default: 2,4)",
-    )
-    place.add_argument(
-        "--skews",
-        type=_float_list,
-        default=DEFAULT_SKEWS,
-        metavar="T1,T2,...",
-        help="hotness-skew (Zipf theta in (0,1)) sweep points",
-    )
-    place.add_argument(
-        "--weights",
-        type=_float_list,
-        default=DEFAULT_WEIGHTS,
-        metavar="W1,W2,...",
-        help="reliability_weight values for PPB (must include 0)",
-    )
-    place.add_argument(
-        "--age",
-        type=float,
-        default=720.0,
-        help="shelf age (hours) between the fresh replay and the aged re-read",
-    )
-    place.add_argument("--seed", type=int, default=42)
-    place.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep grid (1 = in-process)",
     )
 
     scenario = sub.add_parser(
@@ -402,59 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default text)",
     )
     return parser
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated list of floats (argparse type)."""
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one value")
-    return values
-
-
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    try:
-        sweep = ReliabilitySweepSpec(
-            workload=args.workload,
-            ftl=args.ftl,
-            speed_ratios=tuple(args.speed_ratios),
-            ages_hours=tuple(args.ages),
-            num_requests=args.requests,
-            blocks_per_chip=args.blocks,
-            seed=args.seed,
-            config=ReliabilityConfig(base_rber=args.base_rber),
-        )
-        with ReplayRunner(workers=args.workers) as runner:
-            report = run_reliability_sweep(sweep, runner)
-    except ConfigError as exc:
-        print(f"repro-flash reliability: error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.all_checks_pass else 1
-
-
-def _cmd_placement(args: argparse.Namespace) -> int:
-    try:
-        sweep = PlacementSweepSpec(
-            workload=args.workload,
-            speed_ratios=tuple(args.speed_ratios),
-            skews=tuple(args.skews),
-            weights=tuple(args.weights),
-            num_requests=args.requests,
-            blocks_per_chip=args.blocks,
-            retention_age_hours=args.age,
-            seed=args.seed,
-        )
-        with ReplayRunner(workers=args.workers) as runner:
-            report = run_placement_sweep(sweep, runner)
-    except ConfigError as exc:
-        print(f"repro-flash placement: error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.all_checks_pass else 1
 
 
 def _apply_sets(
@@ -715,10 +561,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_figure(args)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "reliability":
-        return _cmd_reliability(args)
-    if args.command == "placement":
-        return _cmd_placement(args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "sweep":

@@ -50,9 +50,10 @@ model that composes with the existing simulator:
     uncorrectable reads and full ECC-ladder storms, reproducible under
     any worker count and byte-identical to baseline at rate 0.
 
-The benchmark scenario over this package lives in
-:mod:`repro.bench.reliability` and is exposed as the ``reliability``
-CLI subcommand.
+The sweeps over this package are scenario files:
+``examples/scenarios/reliability_sweep.toml`` (speed ratio x retention
+age x refresh) and ``examples/scenarios/placement_frontier.toml`` (the
+reliability-aware placement frontier), run with ``repro scenario run``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """Generic reports for declarative scenario runs and sweeps.
 
-The bespoke scenarios (``repro reliability``, ``repro placement``)
-render hand-tuned tables; a config-file sweep can vary *anything*, so
-this report derives its columns from the data: one column per sweep
-axis (the dotted path's last segment), then the metrics every replay
-produces, plus the two-phase re-read metrics when any scenario ran one
-and retry metrics when any scenario carried the reliability stack.
+A config-file sweep can vary *anything*, so this report derives its
+columns from the data: one column per sweep axis (the dotted path's
+last segment), then the metrics every replay produces, plus a column
+group only when some scenario calls for it — the two-phase re-read
+metrics, the reliability stack's retry and refresh costs, PPB's
+fast-page share and reliability diverts, queueing percentiles, and so
+on.  ``reliability_sweep.toml`` and ``placement_frontier.toml`` are
+rendered by this one table; deltas *across* rows (retention penalty,
+share of it refresh recovered) are left to the reader.
 """
 
 from __future__ import annotations
 
-from repro.analysis.tables import ascii_table
+from repro.analysis.tables import ascii_table, format_pct
 from repro.bench.memo import ReplayMemoStats
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import SweepAxis, axis_values
@@ -18,6 +21,8 @@ from repro.sim.ssd import RunResult
 
 
 def _fmt_axis(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:g}"
     return str(value)
@@ -162,6 +167,18 @@ def sweep_table(
         for s in specs
     )
     any_reread = any(s.reread_age_s > 0 for s in specs)
+    # Retry latency per read page: read minus it is the latency-only
+    # read cost (a two-phase row's read mixes both phases, so it gets
+    # none).
+    any_retry_cost = any(
+        s.reliability is not None and s.reread_age_s == 0 for s in specs
+    )
+    any_refresh = any(s.refresh for s in specs)
+    any_ppb = any(s.ftl == "ppb" for s in specs)
+    any_diverts = any(
+        s.ftl == "ppb" and s.ppb is not None and s.ppb.reliability_weight > 0
+        for s in specs
+    )
     any_timed = any(s.mode == "timed" for s in specs)
     any_closed = any(
         s.mode == "timed" and s.effective_arrival.is_closed for s in specs
@@ -201,12 +218,20 @@ def sweep_table(
         headers += ["map hit", "trd/rd", "twr/wr"]
     if any_reliability:
         headers += ["retries/rd", "uncorr"]
+    if any_retry_cost:
+        headers += ["retry us/pg"]
+    if any_refresh:
+        headers += ["refr blk"]
     if any_faults:
         headers += ["inj"]
     if any_triage:
         # Refresh-triage savings: live pages the holds-aware due test
         # spared from relocation copies.
         headers += ["spared pg"]
+    if any_ppb:
+        headers += ["fast rd"]
+    if any_diverts:
+        headers += ["diverts"]
     rows: list[list[object]] = []
     for spec, result in zip(specs, results):
         ftl = result.ftl  # type: ignore[attr-defined]
@@ -267,15 +292,25 @@ def sweep_table(
                 ]
             else:
                 row += ["-", "-", "-"]
+        rel = ftl.reliability.stats if spec.reliability is not None else None
         if any_reliability:
-            if spec.reliability is not None:
-                rel = ftl.reliability.stats
-                row += [
-                    f"{rel.mean_retries_per_read:.2f}",
-                    rel.uncorrectable_reads,
-                ]
+            if rel is not None:
+                retries = (
+                    result.extra["reread.retries_per_read"]
+                    if spec.reread_age_s > 0
+                    else rel.mean_retries_per_read
+                )
+                row += [f"{retries:.2f}", rel.uncorrectable_reads]
             else:
                 row += ["-", "-"]
+        if any_retry_cost:
+            reads = ftl.stats.host_read_pages
+            if rel is not None and spec.reread_age_s == 0 and reads:
+                row.append(f"{rel.retry_us / reads:.1f}")
+            else:
+                row.append("-")
+        if any_refresh:
+            row.append(rel.refresh_runs if rel is not None and spec.refresh else "-")
         if any_faults:
             if spec.faults is not None and spec.faults.rate > 0:
                 row.append(int(result.extra.get("faults.injected_reads", 0)))
@@ -289,14 +324,23 @@ def sweep_table(
                 row.append(int(result.extra.get("refresh.triage_saved_pages", 0)))
             else:
                 row.append("-")
+        if any_ppb:
+            row.append(
+                format_pct(ftl.fast_page_read_fraction()) if spec.ftl == "ppb" else "-"
+            )
+        if any_diverts:
+            row.append(
+                int(ftl.stats.extra.get("ppb.reliability_diverts", 0))
+                if spec.ftl == "ppb"
+                else "-"
+            )
         rows.append(row)
     parts = []
     if title:
         parts.append(f"== {title} ==")
     parts.append(ascii_table(headers, rows))
     if memo is not None:
-        parts.append(
-            f"{memo.misses} replays run, {memo.hits} served from memo, "
-            f"{memo.trace_builds} traces built"
-        )
+        # Trace builds are not printed: pool workers build their own,
+        # so the count would differ between --workers settings.
+        parts.append(f"{memo.misses} replays run, {memo.hits} served from memo")
     return "\n".join(parts)

@@ -7,8 +7,8 @@ re-read — is "replay a workload on a configured device", and
 
 Design rules
 ------------
-* **Frozen and hashable** — a spec is a value, so it serves directly as
-  the memoization cache key of
+* **Frozen and hashable** — a spec is a value, so it serves (via
+  :meth:`ScenarioSpec.memo_key`) as the memoization cache key of
   :class:`~repro.bench.memo.ReplayRunner` and pickles across the worker
   pool unchanged.
 * **Total** — every knob the simulator honours appears here; nothing
@@ -389,6 +389,15 @@ class ScenarioSpec:
             self.seed,
             self.workload_kwargs,
         )
+
+    def memo_key(self) -> "ScenarioSpec":
+        """What the replay result depends on: the spec itself, minus a
+        ``[ppb]`` section the FTL never consults (only ``ftl = "ppb"``
+        reads it), so a sweep that crosses ``ftl`` with a PPB axis
+        replays the other FTLs once per point, not once per PPB value."""
+        if self.ftl == "ppb" or self.ppb is None:
+            return self
+        return self.with_(ppb=None)
 
     def with_(self, **changes: object) -> "ScenarioSpec":
         """A modified copy (convenience for sweeps)."""

@@ -23,7 +23,6 @@ import json
 import os
 
 from repro.bench.memo import ReplayRunner
-from repro.bench.placement import default_placement_reliability
 from repro.ftl.transmap import MappingConfig
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
@@ -44,7 +43,8 @@ def golden_specs() -> "dict[str, ScenarioSpec]":
         device=sim_spec(blocks_per_chip=64),
         seed=42,
     )
-    rel = default_placement_reliability()
+    # read disturb on, and gating refresh (the placement-study stack)
+    rel = ReliabilityConfig(disturb_coeff=8.0, refresh_disturb_reads=2_000)
     specs: dict[str, ScenarioSpec] = {}
     for ftl in ("conventional", "fast", "ppb"):
         specs[f"{ftl}/latency-only"] = base.with_(ftl=ftl)

@@ -1,18 +1,22 @@
-"""Golden CLI output: the legacy sweeps through the scenario engine.
+"""Golden CLI output: the reliability and placement sweep files.
 
-The files under ``tests/golden/data/`` were captured from the CLI
-*before* the declarative scenario layer replaced ``ReplaySpec`` as the
-cache key and ``replay_trace`` as the engine entry point.  These tests
-pin that ``repro reliability`` and ``repro placement`` still print
-byte-identical tables — same simulation numbers, same memo hit/miss
-accounting (the placement header renders it) — through the new engine.
+The files under ``tests/golden/data/`` pin what ``repro scenario run``
+prints for ``reliability_sweep.toml`` and ``placement_frontier.toml``
+at smoke size, narrowed to one speed ratio: every simulated number and
+the memo's hit/miss line.  Their measured numbers (read latencies,
+retries, erases, refreshed blocks, fast-page reads, diverts) are the
+ones the sweeps have printed since before the scenario engine existed.
 
 Regenerate only when a change is *meant* to alter results::
 
-    PYTHONPATH=src python -m repro reliability --requests 1500 --blocks 64 \
-        --speed-ratios 2 --ages 0,720 > tests/golden/data/cli_reliability_smoke.txt
-    PYTHONPATH=src python -m repro placement --requests 1500 --blocks 64 \
-        --speed-ratios 2 --skews 0.5,0.95 --weights 0,8 --age 720 \
+    PYTHONPATH=src python -m repro scenario run \\
+        examples/scenarios/reliability_sweep.toml --smoke \\
+        --set device.speed_ratio=2 --set retention_age_s=0,2592000 \\
+        > tests/golden/data/cli_reliability_smoke.txt
+    PYTHONPATH=src python -m repro scenario run \\
+        examples/scenarios/placement_frontier.toml --smoke \\
+        --set device.speed_ratio=2 --set workload_kwargs.zipf_theta=0.5,0.95 \\
+        --set ppb.reliability_weight=0,8 \\
         > tests/golden/data/cli_placement_smoke.txt
 """
 
@@ -23,23 +27,23 @@ import pytest
 from repro.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "scenarios")
 
 CASES = {
     "cli_reliability_smoke.txt": [
-        "reliability",
-        "--requests", "1500",
-        "--blocks", "64",
-        "--speed-ratios", "2",
-        "--ages", "0,720",
+        "scenario", "run",
+        os.path.join(SCENARIO_DIR, "reliability_sweep.toml"),
+        "--smoke",
+        "--set", "device.speed_ratio=2",
+        "--set", "retention_age_s=0,2592000",
     ],
     "cli_placement_smoke.txt": [
-        "placement",
-        "--requests", "1500",
-        "--blocks", "64",
-        "--speed-ratios", "2",
-        "--skews", "0.5,0.95",
-        "--weights", "0,8",
-        "--age", "720",
+        "scenario", "run",
+        os.path.join(SCENARIO_DIR, "placement_frontier.toml"),
+        "--smoke",
+        "--set", "device.speed_ratio=2",
+        "--set", "workload_kwargs.zipf_theta=0.5,0.95",
+        "--set", "ppb.reliability_weight=0,8",
     ],
 }
 
@@ -55,7 +59,8 @@ def test_cli_output_is_byte_identical(golden_name, capsys):
 
 def test_goldens_predate_the_scenario_engine():
     """Both goldens exist and are non-trivial (guards against an empty
-    capture silently passing the equality test)."""
+    capture silently passing the equality test).  Their measured
+    numbers are the ones first captured before the scenario engine."""
     for name in CASES:
         path = os.path.join(DATA_DIR, name)
         assert os.path.getsize(path) > 500, f"{name} looks truncated"

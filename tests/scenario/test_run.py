@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.memo import ReplayRunner
+from repro.core.config import PPBConfig
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.run import build_trace, execute_scenario, run_scenario, run_scenarios
@@ -48,6 +49,35 @@ class TestMemoization:
         trace_b = runner.trace_for(SMOKE.with_(ftl="fast"))
         assert trace_a is trace_b
         assert runner.stats.trace_builds == 1
+
+    def test_memo_ignores_a_ppb_section_off_ppb(self):
+        """Only the PPB FTL reads ``[ppb]``: conventional with and
+        without it is one replay, and the result does not depend on it."""
+        runner = ReplayRunner()
+        with_ppb = SMOKE.with_(ppb=PPBConfig(reliability_weight=4.0))
+        plain = runner.run(SMOKE)
+        assert runner.run(with_ppb) is plain
+        assert (runner.stats.misses, runner.stats.hits) == (1, 1)
+        direct = execute_scenario(with_ppb, build_trace(with_ppb))
+        assert direct.mean_read_page_us == plain.mean_read_page_us
+        assert direct.erase_count == plain.erase_count
+        assert direct.extra == plain.extra
+        assert direct.ftl.stats.extra == plain.ftl.stats.extra
+
+    def test_ppb_weights_are_distinct_replays(self):
+        runner = ReplayRunner()
+        base = SMOKE.with_(ftl="ppb", reliability=ReliabilityConfig())
+        runner.run_many(
+            [base.with_(ppb=PPBConfig(reliability_weight=w)) for w in (0.0, 4.0)]
+        )
+        assert (runner.stats.misses, runner.stats.hits) == (2, 0)
+
+    def test_pool_dedupes_on_the_memo_key(self):
+        specs = [SMOKE, SMOKE.with_(ppb=PPBConfig()), SMOKE.with_(seed=43)]
+        with ReplayRunner(workers=2) as runner:
+            results = runner.run_many(specs)
+        assert results[0] is results[1]
+        assert (runner.stats.misses, runner.stats.hits) == (2, 1)
 
 
 class TestWorkerPoolReuse:

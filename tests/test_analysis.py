@@ -57,24 +57,3 @@ class TestCharts:
     def test_series_empty(self):
         assert "(no data)" in ascii_series([], {"a": []})
 
-
-class TestAsciiMatrix:
-    def test_grid_layout(self):
-        from repro.analysis.charts import ascii_matrix
-
-        text = ascii_matrix(
-            ["2x", "4x"], ["0h", "30d"], [[0.0, 48.9], [0.0, 43.9]],
-            title="penalty", unit="%",
-        )
-        lines = text.splitlines()
-        assert lines[0] == "penalty"
-        assert "0h" in lines[1] and "30d" in lines[1]
-        assert "48.9%" in text and "43.9%" in text
-
-    def test_shape_mismatch_rejected(self):
-        from repro.analysis.charts import ascii_matrix
-
-        with pytest.raises(ValueError):
-            ascii_matrix(["r"], ["c"], [[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            ascii_matrix(["r", "s"], ["c"], [[1.0]])

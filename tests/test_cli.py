@@ -65,94 +65,82 @@ class TestFigure:
             main(["figure", "99"])
 
 
+#: the committed reliability and placement sweep files.
+RELIABILITY_FILE = "examples/scenarios/reliability_sweep.toml"
+PLACEMENT_FILE = "examples/scenarios/placement_frontier.toml"
+
+
+def _run_file(path, *sets):
+    """``scenario run PATH --smoke`` at one speed ratio, plus ``--set``s."""
+    args = ["scenario", "run", path, "--smoke", "--set", "device.speed_ratio=2"]
+    for assignment in sets:
+        args += ["--set", assignment]
+    return main(args)
+
+
 class TestReliability:
     def test_sweep_small(self, capsys):
-        code = main(
-            [
-                "reliability",
-                "--workload", "web-sql",
-                "--requests", "1500",
-                "--blocks", "64",
-                "--speed-ratios", "2",
-                "--ages", "0,720",
-            ]
-        )
+        code = _run_file(RELIABILITY_FILE, "retention_age_s=0,2592000")
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "Retention/variation sweep" in out
-        assert "recovered" in out
-        assert "FAIL" not in out
+        assert "== reliability-sweep ==" in out
+        assert "retry us/pg" in out and "refr blk" in out
+        assert "4 replays run, 0 served from memo" in out
 
-    def test_bad_float_list_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["reliability", "--ages", "not,numbers"])
+    def test_bad_float_list_rejected(self, capsys):
+        assert _run_file(RELIABILITY_FILE, "retention_age_s=not,numbers") == 2
+        assert "retention_age_s" in capsys.readouterr().err
 
     def test_bad_config_reports_cleanly(self, capsys):
-        assert main(["reliability", "--base-rber", "-1"]) == 2
+        assert _run_file(RELIABILITY_FILE, "reliability.base_rber=-1") == 2
         err = capsys.readouterr().err
         assert "base_rber" in err
 
     def test_age_zero_only_sweep_is_valid(self, capsys):
-        """A null sweep must not fail age-dependent shape checks."""
-        code = main(
-            [
-                "reliability",
-                "--requests", "1500",
-                "--blocks", "64",
-                "--speed-ratios", "2",
-                "--ages", "0",
-            ]
-        )
+        code = _run_file(RELIABILITY_FILE, "retention_age_s=0")
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "FAIL" not in out
+        assert "2 replays run" in out
 
     def test_fast_ftl_accepted(self, capsys):
         """FastFTL runs under the reliability stack via the hook protocol."""
-        code = main(
-            [
-                "reliability",
-                "--ftl", "fast",
-                "--requests", "1200",
-                "--blocks", "64",
-                "--speed-ratios", "2",
-                "--ages", "0,720",
-            ]
+        code = _run_file(
+            RELIABILITY_FILE, "ftl=fast", "num_requests=1200", "retention_age_s=0,2592000"
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "on fast" in out
-        assert "FAIL" not in out
+        assert "4 replays run" in out
+
+    def test_sweep_files_replace_the_subcommands(self, capsys):
+        for command in ("reliability", "placement"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPlacement:
     def test_sweep_small(self, capsys):
-        code = main(
-            [
-                "placement",
-                "--workload", "web-sql",
-                "--requests", "2000",
-                "--blocks", "64",
-                "--speed-ratios", "2",
-                "--skews", "0.95",
-                "--weights", "0,4",
-            ]
+        code = _run_file(
+            PLACEMENT_FILE,
+            "workload_kwargs.zipf_theta=0.95",
+            "ppb.reliability_weight=0,4",
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "Reliability-aware placement frontier" in out
-        assert "ppb w=4" in out
-        assert "served from memo" in out
-        assert "FAIL" not in out
+        assert "== placement-frontier ==" in out
+        assert "fast rd" in out and "diverts" in out
+        # conventional and fast replay once; their weight-4 rows are memo hits
+        assert "4 replays run, 2 served from memo" in out
 
     def test_bad_config_reports_cleanly(self, capsys):
-        assert main(["placement", "--weights", "1,2"]) == 2
+        assert _run_file(PLACEMENT_FILE, "ppb.reliability_weight=-1,2") == 2
         err = capsys.readouterr().err
-        assert "weights" in err
+        assert "reliability_weight" in err
 
-    def test_unskewable_workload_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["placement", "--workload", "uniform"])
+    def test_unskewable_workload_rejected(self, capsys):
+        assert _run_file(PLACEMENT_FILE, "workload=uniform") == 2
+        assert "zipf_theta" in capsys.readouterr().err
 
 
 class TestScenario:

@@ -1,82 +1,131 @@
-"""Tests for the placement benchmark scenario (smoke scale)."""
+"""The placement frontier: ``placement_frontier.toml`` at smoke scale.
+
+One speed ratio, hotness skews 0.5 and 0.95, PPB weights 0 and 8, and
+all three FTLs per point.  Every run is two-phase: the fresh replay is
+the speed side of the frontier, the 30-day aged re-read the
+reliability side.
+"""
 
 import pytest
 
+from repro.analysis.tables import format_pct
 from repro.bench.memo import ReplayRunner
-from repro.bench.placement import (
-    PlacementPoint,
-    PlacementSweepSpec,
-    run_placement_sweep,
-)
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
 from repro.scenario.spec import ScenarioSpec
+from tests.sweep_files import run_grid, smoke_grid
 
-#: One tiny sweep shared by the whole module (the expensive part).
-SMOKE = PlacementSweepSpec(
-    workload="web-sql",
-    speed_ratios=(2.0,),
-    skews=(0.95,),
-    weights=(0.0, 4.0),
-    num_requests=2_500,
-    blocks_per_chip=64,
+FILE = "placement_frontier.toml"
+SKEWS = (0.5, 0.95)
+WEIGHTS = (0.0, 8.0)
+SETS = (
+    "device.speed_ratio=2",
+    "workload_kwargs.zipf_theta=0.5,0.95",
+    "ppb.reliability_weight=0,8",
 )
-
-#: variants at one sweep point: conventional, fast, ppb per weight.
-VARIANTS_PER_POINT = 2 + len(SMOKE.weights)
-
-
-@pytest.fixture(scope="module")
-def runner():
-    return ReplayRunner()
+FTLS = ("conventional", "fast", "ppb")
+#: distinct replays: conventional and fast once per skew, PPB per weight.
+REPLAYS = len(SKEWS) * (2 + len(WEIGHTS))
 
 
 @pytest.fixture(scope="module")
-def report(runner):
-    return run_placement_sweep(SMOKE, runner=runner)
+def grid():
+    return run_grid(FILE, *SETS)
+
+
+def _theta(spec):
+    return dict(spec.workload_kwargs)["zipf_theta"]
+
+
+def _ppb(grid, weight):
+    """``skew -> result`` of PPB at one reliability weight."""
+    return {
+        _theta(spec): result
+        for spec, result in zip(grid.specs, grid.results)
+        if spec.ftl == "ppb" and spec.ppb.reliability_weight == weight
+    }
+
+
+def _retry_saving(speed, rel):
+    """Share of pure-speed PPB's aged retry cost the weight removed."""
+    before = speed.extra["reread.retry_us"]
+    if before <= 0:
+        return 0.0
+    return (before - rel.extra["reread.retry_us"]) / before
+
+
+def _shape_checks(grid):
+    speed_ppb, rel_ppb = _ppb(grid, 0.0), _ppb(grid, max(WEIGHTS))
+    pairs = [(speed_ppb[skew], rel_ppb[skew]) for skew in SKEWS]
+    return [
+        (
+            "reliability-aware placement cuts aged-read retry cost vs "
+            "pure-speed ppb (every sweep point)",
+            all(
+                rel.extra["reread.retry_us"] <= speed.extra["reread.retry_us"] + 1e-9
+                for speed, rel in pairs
+            ),
+        ),
+        (
+            "the cut is real somewhere (> 10% aged retry cost saved)",
+            any(_retry_saving(speed, rel) > 0.10 for speed, rel in pairs),
+        ),
+        (
+            "the top weight diverts read-hot data somewhere",
+            any(rel.ftl.stats.extra.get("ppb.reliability_diverts", 0) > 0 for _, rel in pairs),
+        ),
+        (
+            "fresh-read latency loss is bounded (<= 25% vs pure-speed ppb)",
+            all(
+                rel.extra["phase1.mean_read_page_us"]
+                <= speed.extra["phase1.mean_read_page_us"] * 1.25 + 1e-9
+                for speed, rel in pairs
+            ),
+        ),
+    ]
 
 
 class TestSweepReport:
-    def test_one_row_per_variant(self, report):
-        points = len(SMOKE.speed_ratios) * len(SMOKE.skews)
-        assert len(report.rows) == points * VARIANTS_PER_POINT
+    def test_one_row_per_variant(self, grid):
+        assert len(grid.specs) == len(SKEWS) * len(WEIGHTS) * len(FTLS)
+        assert len(grid.rows()) == len(grid.specs)
 
-    def test_shape_checks_pass(self, report):
-        failed = [name for name, ok in report.checks if not ok]
+    def test_shape_checks_pass(self, grid):
+        failed = [name for name, ok in _shape_checks(grid) if not ok]
         assert not failed, f"shape checks failed: {failed}"
 
-    def test_reliability_aware_cuts_aged_retry_cost(self, report):
-        by_variant = {row[2]: row for row in report.rows}
-        speed_only = by_variant["ppb"]
-        weighted = by_variant["ppb w=4"]
-        assert float(weighted[6]) <= float(speed_only[6])  # retries/rd
-        assert int(weighted[11]) > 0                       # diverts
+    def test_reliability_aware_cuts_aged_retry_cost(self, grid):
+        speed_ppb, rel_ppb = _ppb(grid, 0.0), _ppb(grid, 8.0)
+        hottest = max(SKEWS)
+        assert _retry_saving(speed_ppb[hottest], rel_ppb[hottest]) > 0.10
+        assert rel_ppb[hottest].ftl.stats.extra["ppb.reliability_diverts"] > 0
 
-    def test_render_includes_frontier_matrix(self, report):
-        text = report.render()
-        assert "speed ratio x hotness skew" in text
-        assert "ppb w=4" in text
+    def test_render_includes_placement_columns(self, grid):
+        text = grid.render()
+        assert text.startswith("== placement-frontier ==")
+        for header in ("zipf_theta", "reliability_weight", "ftl", "fresh rd (us/pg)",
+                       "aged rd (us/pg)", "refr blk", "fast rd", "diverts"):
+            assert f" {header} " in text
+        assert "retry us/pg" not in text  # every row is two-phase
+        assert text.endswith(f"{REPLAYS} replays run, 4 served from memo")
 
 
 class TestMemoization:
-    def test_no_identical_replay_ran_twice(self, runner, report):
-        # the memo absorbed the re-requested speed-oblivious baselines:
-        # (len(weights) - 1) repeats x 2 FTLs x points
-        points = len(SMOKE.speed_ratios) * len(SMOKE.skews)
-        expected_saved = (len(SMOKE.weights) - 1) * 2 * points
-        assert runner.stats.hits >= expected_saved
-        # every executed replay is a distinct spec
-        assert runner.stats.misses == points * VARIANTS_PER_POINT
+    def test_no_identical_replay_ran_twice(self, grid):
+        # the weight axis re-requests conventional and fast: 2 FTLs x
+        # (weights - 1) x skews repeats, all served from the memo
+        assert grid.memo.misses == REPLAYS
+        assert grid.memo.hits == 2 * (len(WEIGHTS) - 1) * len(SKEWS)
 
-    def test_rerun_is_fully_memoized(self, runner, report):
-        misses_before = runner.stats.misses
-        rerun = run_placement_sweep(SMOKE, runner=runner)
-        assert runner.stats.misses == misses_before  # nothing re-ran
-        assert rerun.rows == report.rows
+    def test_rerun_is_fully_memoized(self, grid):
+        misses_before = grid.runner.stats.misses
+        rerun = grid.runner.run_many(grid.specs)
+        assert grid.runner.stats.misses == misses_before  # nothing re-ran
+        assert all(a is b for a, b in zip(rerun, grid.results))
 
-    def test_trace_shared_across_variants(self, runner, report):
-        # one trace per (workload, scale, skew, seed) — not per variant
-        assert runner.stats.trace_builds == len(SMOKE.skews)
+    def test_trace_shared_across_variants(self, grid):
+        # one trace per (workload, size, skew, seed), not per variant
+        assert grid.memo.trace_builds == len(SKEWS)
 
 
 class TestReplayRunner:
@@ -98,60 +147,55 @@ class TestReplayRunner:
 
 class TestSweepValidation:
     def test_unskewable_workload_rejected(self):
-        with pytest.raises(ConfigError):
-            PlacementSweepSpec(workload="uniform")
+        specs, _, _ = smoke_grid(FILE, *SETS, "workload=uniform")
+        with pytest.raises(ConfigError, match="zipf_theta"):
+            ReplayRunner().run(specs[0])
 
-    def test_weights_must_include_zero(self):
-        with pytest.raises(ConfigError):
-            PlacementSweepSpec(weights=(1.0, 2.0))
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ConfigError, match="reliability_weight"):
+            smoke_grid(FILE, "ppb.reliability_weight=-1,2")
 
     def test_skew_must_be_valid_zipf_theta(self):
-        with pytest.raises(ConfigError):
-            PlacementSweepSpec(skews=(1.2,))
+        specs, _, _ = smoke_grid(FILE, *SETS[:1], "workload_kwargs.zipf_theta=1.2")
+        with pytest.raises(ConfigError, match="theta"):
+            ReplayRunner().run(specs[0])
 
-    def test_point_derived_metrics(self):
-        point = PlacementPoint(
-            speed_ratio=2.0,
-            skew=0.95,
-            variant="ppb",
-            weight=0.0,
-            fresh_read_us=100.0,
-            aged_read_us=150.0,
-            aged_retries_per_read=0.5,
-            aged_retry_us=1e5,
-            uncorrectable=0,
-            refreshed_blocks=3,
-            refresh_copied_pages=48,
-            refresh_us=1e5,
-            erases=10,
-            fast_read_fraction=0.6,
-            reliability_diverts=0,
-        )
-        assert point.aged_penalty == pytest.approx(0.5)
+    def test_point_derived_metrics(self, grid):
+        """``fast rd`` and ``diverts`` print for PPB rows only, from the
+        replay's FTL."""
+        for spec, result, row in zip(grid.specs, grid.results, grid.rows()):
+            if spec.ftl == "ppb":
+                ftl = result.ftl
+                assert row["fast rd"] == format_pct(ftl.fast_page_read_fraction())
+                diverts = int(ftl.stats.extra.get("ppb.reliability_diverts", 0))
+                assert row["diverts"] == f"{diverts:,}"
+            else:
+                assert row["fast rd"] == row["diverts"] == "-"
+
+    def test_two_phase_retries_are_the_aged_phase(self, grid):
+        """``retries/rd`` sits next to ``aged rd``: on a two-phase row it
+        is the aged phase's rate, not the rate over both phases."""
+        for result, row in zip(grid.results, grid.rows()):
+            aged = result.extra["reread.retries_per_read"]
+            both = result.ftl.reliability.stats.mean_retries_per_read
+            assert row["retries/rd"] == f"{aged:.2f}"
+            assert aged > both  # the fresh phase dilutes the mixed rate
 
 
 class TestParallelSweep:
-    """workers > 1 prefetches the grid; the report must be identical."""
+    """A pool of workers must not change the rendered sweep."""
 
-    def test_parallel_sweep_matches_sequential(self, report):
-        parallel_runner = ReplayRunner(workers=2)
-        parallel = run_placement_sweep(SMOKE, runner=parallel_runner)
-        # Same rows (every numeric cell is formatted from replay output,
-        # so equality here means the replays were byte-identical) and
-        # the same title (which renders the memo's ran/saved counters,
-        # so the hit/miss accounting matches single-process execution).
-        assert parallel.rows == report.rows
-        assert parallel.title == report.title
-        assert parallel.all_checks_pass == report.all_checks_pass
-        # Every unique spec ran exactly once, in the pool.
-        from repro.bench.placement import sweep_specs
-
-        assert parallel_runner.stats.misses == len(set(sweep_specs(SMOKE)))
+    def test_parallel_sweep_matches_sequential(self, grid):
+        # equal tables mean byte-identical replays and the same hit/miss
+        # accounting (the memo line renders it)
+        assert run_grid(FILE, *SETS, workers=2).render() == grid.render()
 
     def test_sweep_specs_enumerates_the_grid(self):
-        from repro.bench.placement import sweep_specs
-
-        specs = sweep_specs(SMOKE)
-        points = len(SMOKE.speed_ratios) * len(SMOKE.skews)
-        assert len(specs) == points * (2 + len(SMOKE.weights))
+        specs, _, _ = smoke_grid(FILE, *SETS)
         assert len(set(specs)) == len(specs)
+        assert len({spec.memo_key() for spec in specs}) == REPLAYS
+        # the file's own grid: 2 ratios x 3 skews x 3 weights x 3 FTLs,
+        # of which 2 x 3 x (2 + 3) are distinct replays
+        full, _, _ = smoke_grid(FILE)
+        assert len(full) == 54
+        assert len({spec.memo_key() for spec in full}) == 30
