@@ -1,94 +1,41 @@
-"""A small discrete-event simulation kernel.
+"""A small discrete-event simulation kernel: a callback event calendar.
 
-Provides the familiar process-interaction style (generators yielding
-events) on a binary-heap event calendar — the subset of simpy the SSD
-front end needs, self-contained because the evaluation environment has
-no network access for dependencies.
+The calendar is a binary heap of ``(time, seq, fn, arg)`` entries;
+:meth:`Engine.run` pops the earliest and calls ``fn(arg)``.  ``seq``
+counts pushes, so entries due at one instant run in scheduling order.
+A model is a set of small callbacks that schedule one another over its
+own records — no event or process objects, no generators, and no
+simpy (not available offline).
 
 Example
 -------
 >>> engine = Engine()
 >>> log = []
->>> def worker(name, delay):
-...     yield engine.timeout(delay)
+>>> both = engine.all_of(2, lambda name: log.append((engine.now, name)), "join")
+>>> def worker(name):
 ...     log.append((engine.now, name))
->>> _ = engine.process(worker("a", 5.0))
->>> _ = engine.process(worker("b", 2.0))
+...     engine.process(both)
+>>> engine.timeout(5.0, worker, "a")
+>>> engine.timeout(2.0, worker, "b")
 >>> engine.run()
 >>> log
-[(2.0, 'b'), (5.0, 'a')]
+[(2.0, 'b'), (5.0, 'a'), (5.0, 'join')]
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterator
+import itertools
+from typing import Any, Callable
 
 from repro.errors import ReproError
+
+#: A calendar callback: called with the ``arg`` it was scheduled with.
+Callback = Callable[[Any], object]
 
 
 class SimulationError(ReproError):
     """The simulation kernel was driven incorrectly."""
-
-
-class Event:
-    """A one-shot occurrence processes can wait on."""
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self.callbacks: list[Callable[["Event"], None]] = []
-        self.triggered = False
-        #: set once the calendar has delivered the event's callbacks; a
-        #: callback added after this point will never fire (see
-        #: :meth:`Engine.all_of`, which must treat such events as done).
-        self.dispatched = False
-        self.value: Any = None
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event now; waiting processes resume this instant."""
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.value = value
-        self.engine._schedule(0.0, self)
-        return self
-
-
-class Timeout(Event):
-    """An event that triggers after a fixed delay."""
-
-    def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        super().__init__(engine)
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        self.triggered = True
-        self.value = value
-        engine._schedule(delay, self)
-
-
-class Process(Event):
-    """A running generator; itself an event that triggers on completion."""
-
-    def __init__(self, engine: "Engine", generator: Generator[Event, Any, Any]) -> None:
-        super().__init__(engine)
-        self.generator = generator
-        self._start = Timeout(engine, 0.0)
-        self._start.callbacks.append(self._resume)
-
-    def _resume(self, event: Event) -> None:
-        try:
-            target = self.generator.send(event.value)
-        except StopIteration as stop:
-            if not self.triggered:
-                self.triggered = True
-                self.value = stop.value
-                self.engine._schedule(0.0, self)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process yielded {type(target).__name__}, expected an Event"
-            )
-        target.callbacks.append(self._resume)
 
 
 class Engine:
@@ -96,76 +43,71 @@ class Engine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
-        self._sequence = 0
+        self._heap: list[tuple[float, int, Callback, Any]] = []
+        self._sequence = itertools.count()
 
     # -- scheduling -----------------------------------------------------
 
-    def _schedule(self, delay: float, event: Event) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
+    def process(self, fn: Callback, arg: Any = None) -> None:
+        """Run ``fn(arg)`` at the current instant, after every entry
+        already due now."""
+        heapq.heappush(self._heap, (self.now, next(self._sequence), fn, arg))
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+    #: :meth:`process` for resource grants and join firings, so call
+    #: counts of ``process`` count only the starts a model asks for.
+    _wake = process
 
-    def event(self) -> Event:
-        """A bare event to be succeeded manually."""
-        return Event(self)
+    def timeout(self, delay: float, fn: Callback, arg: Any = None) -> None:
+        """Run ``fn(arg)`` ``delay`` time units from now."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), fn, arg))
 
-    def process(self, generator: Generator[Event, Any, Any]) -> Process:
-        """Start a process from a generator of events."""
-        return Process(self, generator)
-
-    def all_of(self, events: list[Event]) -> Event:
-        """An event that triggers once every given event has triggered.
-
-        The join the channel-parallel SSD front end needs: a request
-        that fanned out across several chips completes when its last
-        chip visit does.  Events that already ran to delivery count as
-        done immediately; an empty list yields an event that triggers
-        right away.
+    def all_of(self, count: int, fn: Callback, arg: Any = None) -> Callable[[Any], None]:
+        """A join over ``count`` completions: returns the completion hook,
+        whose ``count``-th call runs ``process(fn, arg)`` (at once when
+        ``count == 0``) and whose calls beyond that raise.  The SSD
+        overlay joins a request's chip/plane visits this way.
         """
-        result = self.event()
-        pending = sum(1 for event in events if not event.dispatched)
-        if pending == 0:
-            return result.succeed()
+        if count < 0:
+            raise SimulationError(f"negative join count {count}")
+        pending = count
+        wake = self._wake
 
-        def one_done(_: Event) -> None:
+        def done(_: Any = None) -> None:
             nonlocal pending
+            if pending == 0:
+                raise SimulationError(f"join of {count} completed more than {count} times")
             pending -= 1
             if pending == 0:
-                result.succeed()
+                wake(fn, arg)
 
-        for event in events:
-            if not event.dispatched:
-                event.callbacks.append(one_done)
-        return result
+        if count == 0:
+            wake(fn, arg)
+        return done
 
     # -- execution --------------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
-        """Dispatch events until the calendar drains or ``until`` is reached."""
-        while self._heap:
-            time, _, event = self._heap[0]
-            if until is not None and time > until:
+        """Run callbacks until the calendar drains or ``until`` is reached.
+
+        An exception raised by a callback propagates out of ``run``.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        if until is None:
+            while heap:
+                self.now, _, fn, arg = pop(heap)
+                fn(arg)
+            return
+        while heap:
+            if heap[0][0] > until:
                 self.now = until
                 return
-            heapq.heappop(self._heap)
-            self.now = time
-            event.dispatched = True
-            for callback in list(event.callbacks):
-                callback(event)
-            event.callbacks.clear()
-        if until is not None:
-            self.now = max(self.now, until)
+            self.now, _, fn, arg = pop(heap)
+            fn(arg)
+        self.now = max(self.now, until)
 
     def peek(self) -> float | None:
-        """Time of the next scheduled event, or None if idle."""
+        """Time of the next scheduled entry, or None if idle."""
         return self._heap[0][0] if self._heap else None
-
-    def __iter__(self) -> Iterator[float]:
-        """Step-wise execution: yields the clock after each event batch."""
-        while self._heap:
-            self.run(until=self._heap[0][0])
-            yield self.now

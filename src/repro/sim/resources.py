@@ -1,9 +1,9 @@
 """FCFS resources for the DES kernel.
 
-:class:`Resource` models a unit (or pool) that processes must hold
-while using — the SSD front end uses one per chip (array busy), one per
-channel (bus transfers) and optionally one counted pool for the host
-queue depth when replaying with queueing.
+:class:`Resource` models a unit (or pool) that a model must hold while
+using it — the SSD front end uses one per plane (array busy), one per
+die port and one per channel (bus transfers), and optionally one
+counted pool for the host queue depth when replaying with queueing.
 
 Each resource keeps the accounting the queueing reports need: grant
 count, total time spent waiting in its queue, and the busy-time
@@ -15,8 +15,9 @@ the saturation studies plot.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Callback, Engine, SimulationError
 
 
 class Resource:
@@ -28,7 +29,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: deque[tuple[Event, float]] = deque()
+        self._waiters: deque[tuple[Callback, Any, float]] = deque()
         #: grants handed out (immediate or after queueing).
         self.grants = 0
         #: total time grants spent queued before being served.
@@ -44,17 +45,17 @@ class Resource:
             self.busy_us += self.in_use * (now - self._last_change)
         self._last_change = now
 
-    def request(self) -> Event:
-        """An event that triggers when the resource is granted."""
-        event = self.engine.event()
+    def request(self, fn: Callback, arg: Any = None) -> None:
+        """Ask for one unit; ``fn(arg)`` is scheduled once it is granted
+        (for now if a unit is free, else by the :meth:`release` that
+        hands it over, in request order)."""
         if self.in_use < self.capacity:
             self._accrue()
             self.in_use += 1
             self.grants += 1
-            event.succeed()
+            self.engine._wake(fn, arg)
         else:
-            self._waiters.append((event, self.engine.now))
-        return event
+            self._waiters.append((fn, arg, self.engine.now))
 
     def release(self) -> None:
         """Return one unit; wakes the oldest waiter if any."""
@@ -63,17 +64,17 @@ class Resource:
         if self._waiters:
             # Hand the unit straight over: in_use stays constant, so the
             # busy integral continues uninterrupted.
-            event, enqueued = self._waiters.popleft()
+            fn, arg, enqueued = self._waiters.popleft()
             self.wait_us += self.engine.now - enqueued
             self.grants += 1
-            event.succeed()
+            self.engine._wake(fn, arg)
         else:
             self._accrue()
             self.in_use -= 1
 
     @property
     def queue_length(self) -> int:
-        """Processes waiting for the resource."""
+        """Requests waiting for the resource."""
         return len(self._waiters)
 
     def utilization(self, now: float | None = None) -> float:

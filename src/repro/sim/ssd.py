@@ -39,6 +39,10 @@ unmapped page) completes at once instead of waiting its FCFS turn —
 which is why the single-unit device keeps its own model rather than
 being a one-unit overlay.
 
+Both models are small callbacks on the DES kernel's event calendar,
+stepping a per-request :class:`_Job` (and, in the overlay, a
+per-visit :class:`_Visit`) through its resource grants and timeouts.
+
 The arrival process is an :class:`~repro.sim.arrival.ArrivalSpec`: an
 *open* loop walks the trace timestamps (``scale`` divides the gaps,
 ``queue_depth`` bounds the submission queue), while a *closed* loop
@@ -49,12 +53,14 @@ driver whose ``throughput_kiops`` at QD = N is the QD-sweep metric.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, Protocol, Sequence
+from functools import partial
+from typing import Callable, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.arrival import ArrivalSpec
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Callback, Engine
 from repro.sim.resources import Resource
 from repro.traces.record import IORequest, OpType, Trace
 
@@ -233,6 +239,115 @@ def _timed_extras(
     if slots is not None:
         extra["timed.admission_wait_us"] = slots.wait_us
     return extra
+
+
+@dataclass(slots=True)
+class _Job:
+    """One request in flight through a timed replay."""
+
+    request: IORequest
+    #: when the request arrived, before any admission wait.
+    arrival_us: float
+    #: its summed service time, set when the FTL services it.
+    latency_us: float = 0.0
+
+
+@dataclass(slots=True)
+class _Visit:
+    """One (chip, plane) unit visit of an overlay request."""
+
+    unit: Resource
+    port: Resource
+    bus: Resource
+    transfer_us: float
+    array_us: float
+    #: the request's join hook, scheduled when the visit completes.
+    done: Callback
+
+
+#: How a finished timed request is accounted:
+#: ``account(request, latency_us, response_us)``.
+_Account = Callable[[IORequest, float, float], None]
+
+
+class _Arrivals:
+    """The arrival process both timed models share.
+
+    ``start(job)`` begins a request in the device model, which hands the
+    job back to :meth:`complete` when the request is done.
+
+    *Open* loop: requests enter at their (scaled) trace timestamps,
+    through a host queue of ``queue_depth`` slots when that bounds it.
+    The arrival time is taken *before* any admission wait, so the wait
+    counts toward the response time.  Gaps run from the latest timestamp
+    seen so far: a request stamped earlier than its predecessor arrives
+    at once and does not delay the requests after it.
+
+    *Closed* loop: timestamps are ignored and ``queue_depth`` requests
+    stay in flight, each completion admitting the next one.  Response
+    time = completion - admission (a population slot *is* admission).
+    """
+
+    def __init__(
+        self, engine: Engine, trace: Trace, arrival: ArrivalSpec, start: Callback, account: _Account
+    ) -> None:
+        self.engine = engine
+        self.start = start
+        self.account = account
+        self.closed = arrival.is_closed
+        #: the open-loop host queue bound (None when unbounded or closed).
+        self.slots: Resource | None = None
+        self._requests = iter(trace.requests)
+        self._scale = arrival.scale
+        self._latest = 0.0
+        if self.closed:
+            for request in itertools.islice(self._requests, arrival.queue_depth):
+                engine.process(start, _Job(request, engine.now))
+            return
+        if arrival.queue_depth:
+            self.slots = Resource(engine, arrival.queue_depth)
+        engine.process(self._walk)
+
+    def _walk(self, arrived: IORequest | None = None) -> None:
+        """Open loop: start requests in trace order until one must wait
+        (first ``arrived``, when its gap has just elapsed)."""
+        if arrived is not None and not self._admit(arrived):
+            return
+        for request in self._requests:
+            gap = request.timestamp_us - self._latest
+            if gap > 0.0:
+                self._latest = request.timestamp_us
+                if self._scale != 1.0:
+                    gap /= self._scale
+                if gap:
+                    self.engine.timeout(gap, self._walk, request)
+                    return
+            if not self._admit(request):
+                return
+
+    def _admit(self, request: IORequest) -> bool:
+        """Start ``request`` now, or queue it for a host slot (False)."""
+        job = _Job(request, self.engine.now)
+        if self.slots is None:
+            self.engine.process(self.start, job)
+            return True
+        self.slots.request(self._admitted, job)
+        return False
+
+    def _admitted(self, job: _Job) -> None:
+        self.engine.process(self.start, job)
+        self._walk()
+
+    def complete(self, job: _Job) -> None:
+        """Account a finished request; free its host slot (open loop) or
+        admit the next request (closed loop)."""
+        self.account(job.request, job.latency_us, self.engine.now - job.arrival_us)
+        if self.slots is not None:
+            self.slots.release()
+        elif self.closed:
+            request = next(self._requests, None)
+            if request is not None:
+                self.engine.process(self.start, _Job(request, self.engine.now))
 
 
 class SSD:
@@ -436,81 +551,6 @@ class SSD:
         result.extra.update(timed_extra)
         return result
 
-    def _timed_source(
-        self,
-        engine: Engine,
-        trace: Trace,
-        scale: float,
-        slots: Resource | None,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
-    ) -> Generator[Event, None, None]:
-        """The open-loop arrival process both timed models share.
-
-        Walks the trace at its (scaled) timestamps, waits for a host
-        queue slot when one is configured, and hands each request — with
-        its arrival time, captured *before* any admission wait — to
-        ``dispatch``, the per-request coroutine of the device model in
-        use.  One definition, so the serialized model and the overlay
-        can never disagree on the arrival semantics.
-        """
-        previous = 0.0
-        for request in trace:
-            gap = max(0.0, request.timestamp_us - previous)
-            previous = request.timestamp_us
-            if scale != 1.0:
-                gap /= scale
-            if gap:
-                yield engine.timeout(gap)
-            arrival = engine.now
-            if slots is not None:
-                yield slots.request()
-            engine.process(dispatch(request, arrival))
-
-    def _closed_admit(
-        self,
-        engine: Engine,
-        trace: Trace,
-        queue_depth: int,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
-    ) -> None:
-        """Seed a closed-loop population of ``queue_depth`` requests.
-
-        Trace timestamps are ignored: each request's completion admits
-        the next one, so exactly ``queue_depth`` requests stay in flight
-        until the trace drains.  Response time = completion - admission
-        (there is no separate queueing wait — a slot *is* admission).
-        """
-        iterator: Iterator[IORequest] = iter(trace)
-
-        def run_one(request: IORequest) -> Generator[Event, None, None]:
-            yield from dispatch(request, engine.now)
-            successor = next(iterator, None)
-            if successor is not None:
-                engine.process(run_one(successor))
-
-        for _ in range(queue_depth):
-            request = next(iterator, None)
-            if request is None:
-                break
-            engine.process(run_one(request))
-
-    def _drive(
-        self,
-        engine: Engine,
-        trace: Trace,
-        arrival: ArrivalSpec,
-        slots: Resource | None,
-        dispatch: Callable[[IORequest, float], Generator[Event, None, None]],
-    ) -> None:
-        """Start the configured arrival process and run it to completion."""
-        if arrival.is_closed:
-            self._closed_admit(engine, trace, arrival.queue_depth, dispatch)
-        else:
-            engine.process(
-                self._timed_source(engine, trace, arrival.scale, slots, dispatch)
-            )
-        engine.run()
-
     def _account_timed(
         self, result: RunResult, request: IORequest, latency: float, response_us: float
     ) -> None:
@@ -536,13 +576,6 @@ class SSD:
                     response_us
                 )
 
-    @staticmethod
-    def _admission_slots(engine: Engine, arrival: ArrivalSpec) -> Resource | None:
-        """The open-loop host queue bound (None when unbounded or closed)."""
-        if arrival.queue_depth and not arrival.is_closed:
-            return Resource(engine, capacity=arrival.queue_depth)
-        return None
-
     def _replay_timed_serialized(
         self,
         trace: Trace,
@@ -561,23 +594,21 @@ class SSD:
         """
         engine = Engine()
         device = Resource(engine, capacity=1)
-        slots = self._admission_slots(engine, arrival)
+        service = self.service
 
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            grant = device.request()
-            yield grant
-            latency = self.service(request)
-            yield engine.timeout(latency)
+        def serve(job: _Job) -> None:
+            job.latency_us = service(job.request)
+            engine.timeout(job.latency_us, served, job)
+
+        def served(job: _Job) -> None:
             device.release()
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
+            arrivals.complete(job)
 
-        self._drive(engine, trace, arrival, slots, one_request)
+        start = partial(device.request, serve)
+        arrivals = _Arrivals(engine, trace, arrival, start, partial(self._account_timed, result))
+        engine.run()
         result.simulated_us = engine.now
-        return _timed_extras(engine.now, slots)
+        return _timed_extras(engine.now, arrivals.slots)
 
     def _service_profiled(
         self, request: IORequest
@@ -634,43 +665,59 @@ class SSD:
         bus_of = [buses[channel_of(chip)] for chip in range(num_chips)]
         # chip-major: unit (chip, plane) is units[chip * planes_per_chip + plane].
         units = [Resource(engine) for _ in range(num_chips * planes_per_chip)]
-        slots = self._admission_slots(engine, arrival)
+        process = engine.process
+        timeout = engine.timeout
+        service_profiled = self._service_profiled
 
-        def visit(
-            chip: int, plane: int, transfer_us: float, array_us: float
-        ) -> Generator[Event, None, None]:
-            unit = units[chip * planes_per_chip + plane]
-            yield unit.request()
-            if transfer_us > 0.0:
-                port = ports[chip]
-                yield port.request()
-                bus = bus_of[chip]
-                yield bus.request()
-                yield engine.timeout(transfer_us)
-                bus.release()
-                port.release()
-            if array_us > 0.0:
-                yield engine.timeout(array_us)
-            unit.release()
+        def start(job: _Job) -> None:
+            job.latency_us, per_unit = service_profiled(job.request)
+            if not per_unit:
+                arrivals.complete(job)
+                return
+            done = engine.all_of(len(per_unit), arrivals.complete, job)
+            for (chip, plane), (transfer_us, array_us) in per_unit.items():
+                unit = units[chip * planes_per_chip + plane]
+                process(
+                    enter, _Visit(unit, ports[chip], bus_of[chip], transfer_us, array_us, done)
+                )
 
-        def one_request(
-            request: IORequest, arrival_us: float
-        ) -> Generator[Event, None, None]:
-            latency, per_unit = self._service_profiled(request)
-            if per_unit:
-                visits = [
-                    engine.process(visit(chip, plane, transfer_us, array_us))
-                    for (chip, plane), (transfer_us, array_us) in per_unit.items()
-                ]
-                yield engine.all_of(visits)
-            if slots is not None:
-                slots.release()
-            self._account_timed(result, request, latency, engine.now - arrival_us)
+        # A visit: unit -> (die port -> bus -> transfer -> release bus
+        # and port) -> array -> release unit -> the request's join hook.
+        def enter(visit: _Visit) -> None:
+            visit.unit.request(on_unit, visit)
 
-        self._drive(engine, trace, arrival, slots, one_request)
+        def on_unit(visit: _Visit) -> None:
+            if visit.transfer_us > 0.0:
+                visit.port.request(on_port, visit)
+            else:
+                hold_array(visit)
+
+        def on_port(visit: _Visit) -> None:
+            visit.bus.request(on_bus, visit)
+
+        def on_bus(visit: _Visit) -> None:
+            timeout(visit.transfer_us, transferred, visit)
+
+        def transferred(visit: _Visit) -> None:
+            visit.bus.release()
+            visit.port.release()
+            hold_array(visit)
+
+        def hold_array(visit: _Visit) -> None:
+            if visit.array_us > 0.0:
+                timeout(visit.array_us, leave, visit)
+            else:
+                leave(visit)
+
+        def leave(visit: _Visit) -> None:
+            visit.unit.release()
+            process(visit.done)
+
+        arrivals = _Arrivals(engine, trace, arrival, start, partial(self._account_timed, result))
+        engine.run()
         result.simulated_us = engine.now
         return _timed_extras(
-            engine.now, slots, units, ports, buses, plane_granular=planes_per_chip > 1
+            engine.now, arrivals.slots, units, ports, buses, plane_granular=planes_per_chip > 1
         )
 
     def _finalize(self, result: RunResult) -> None:

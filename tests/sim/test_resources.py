@@ -6,18 +6,37 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.resources import Resource
 
 
+def _hold(engine, resource, hold, log=None, name=None):
+    """Request ``resource``, hold it for ``hold``, release; logs
+    ``(name, granted, released)`` when given a log."""
+
+    def granted(_):
+        start = engine.now
+        engine.timeout(hold, released, start)
+
+    def released(start):
+        resource.release()
+        if log is not None:
+            log.append((name, start, engine.now))
+
+    resource.request(granted)
+
+
+def _noop(_):
+    pass
+
+
 class TestResource:
     def test_grant_when_free(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
         grants = []
 
-        def worker():
-            yield resource.request()
+        def worker(_):
             grants.append(engine.now)
             resource.release()
 
-        engine.process(worker())
+        resource.request(worker)
         engine.run()
         assert grants == [0.0]
 
@@ -25,16 +44,8 @@ class TestResource:
         engine = Engine()
         resource = Resource(engine, capacity=1)
         log = []
-
-        def worker(name, hold):
-            yield resource.request()
-            start = engine.now
-            yield engine.timeout(hold)
-            resource.release()
-            log.append((name, start, engine.now))
-
-        engine.process(worker("a", 5.0))
-        engine.process(worker("b", 3.0))
+        _hold(engine, resource, 5.0, log, "a")
+        _hold(engine, resource, 3.0, log, "b")
         engine.run()
         assert log == [("a", 0.0, 5.0), ("b", 5.0, 8.0)]
 
@@ -42,33 +53,16 @@ class TestResource:
         engine = Engine()
         resource = Resource(engine, capacity=2)
         log = []
-
-        def worker(name):
-            yield resource.request()
-            yield engine.timeout(4.0)
-            resource.release()
-            log.append((name, engine.now))
-
         for name in ("a", "b", "c"):
-            engine.process(worker(name))
+            _hold(engine, resource, 4.0, log, name)
         engine.run()
-        assert log == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
+        assert [(name, end) for name, _, end in log] == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
 
     def test_queue_length(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-
-        def holder():
-            yield resource.request()
-            yield engine.timeout(10.0)
-            resource.release()
-
-        def waiter():
-            yield resource.request()
-            resource.release()
-
-        engine.process(holder())
-        engine.process(waiter())
+        _hold(engine, resource, 10.0)
+        _hold(engine, resource, 0.0)
         engine.run(until=5.0)
         assert resource.queue_length == 1
         engine.run()
@@ -89,14 +83,8 @@ class TestAccounting:
     def test_busy_integral_and_utilization(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-
-        def worker():
-            yield resource.request()
-            yield engine.timeout(4.0)
-            resource.release()
-            yield engine.timeout(6.0)  # idle tail
-
-        engine.process(worker())
+        _hold(engine, resource, 4.0)
+        engine.timeout(10.0, _noop)  # idle tail
         engine.run()
         assert resource.busy_us == pytest.approx(4.0)
         assert resource.utilization(10.0) == pytest.approx(0.4)
@@ -104,14 +92,8 @@ class TestAccounting:
     def test_wait_time_accrues_only_when_queued(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-
-        def worker(hold):
-            yield resource.request()
-            yield engine.timeout(hold)
-            resource.release()
-
-        engine.process(worker(5.0))
-        engine.process(worker(3.0))
+        _hold(engine, resource, 5.0)
+        _hold(engine, resource, 3.0)
         engine.run()
         assert resource.grants == 2
         assert resource.wait_us == pytest.approx(5.0)  # second waited 5
@@ -119,14 +101,8 @@ class TestAccounting:
     def test_handoff_keeps_busy_continuous(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-
-        def worker(hold):
-            yield resource.request()
-            yield engine.timeout(hold)
-            resource.release()
-
-        engine.process(worker(5.0))
-        engine.process(worker(3.0))
+        _hold(engine, resource, 5.0)
+        _hold(engine, resource, 3.0)
         engine.run()
         # Busy from 0 to 8 without a gap at the handoff instant.
         assert resource.busy_us == pytest.approx(8.0)
@@ -135,13 +111,7 @@ class TestAccounting:
     def test_utilization_counts_inflight_holders(self):
         engine = Engine()
         resource = Resource(engine, capacity=2)
-
-        def holder():
-            yield resource.request()
-            yield engine.timeout(10.0)
-            resource.release()
-
-        engine.process(holder())
+        _hold(engine, resource, 10.0)
         engine.run(until=5.0)
         # One of two units held for the whole window so far.
         assert resource.utilization() == pytest.approx(0.5)

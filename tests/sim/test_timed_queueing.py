@@ -197,6 +197,51 @@ class TestTwoDeviceModels:
         assert trim == 0.0
 
 
+class _FlatLatencyFTL:
+    """A device-less FTL: 1 us per read or write page, free TRIMs."""
+
+    name = "flat"
+    num_lpns = 64
+
+    def host_read(self, lpn):
+        return 1.0
+
+    def host_write(self, lpn, nbytes=None):
+        return 1.0
+
+    def trim(self, lpn):
+        return 0.0
+
+
+class TestOpenLoopArrivals:
+    """Gaps run from the latest timestamp seen, so a timestamp that steps
+    backwards does not delay the requests after it."""
+
+    STAMPS = (0.0, 100.0, 50.0, 120.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_backwards_step_does_not_delay_later_arrivals_serialized(self, scale):
+        ssd = SSD(_FlatLatencyFTL(), 4096)
+        trace = Trace(IORequest(OpType.READ, 0, 4096, timestamp_us=t) for t in self.STAMPS)
+        result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(scale=scale))
+        # Arrivals 0, 100, 100 (at once), 120 (scaled); 1 us of service each,
+        # so the third request queues behind the second for 1 us.
+        assert result.response_times_us == [1.0, 1.0, 2.0, 1.0]
+        assert result.simulated_us == pytest.approx(120.0 / scale + 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_backwards_step_does_not_delay_later_arrivals_overlay(self, scale):
+        spec = tiny_spec(num_chips=2)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        trace = Trace(
+            IORequest(OpType.TRIM, 0, spec.page_size, timestamp_us=t) for t in self.STAMPS
+        )
+        result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(scale=scale))
+        # TRIMs log no device op, so each completes at its arrival.
+        assert result.trim_response_times_us == [0.0] * 4
+        assert result.simulated_us == 120.0 / scale
+
+
 class TestTimedExtras:
     """Each topology reports one fixed set of ``timed.*`` extras."""
 
