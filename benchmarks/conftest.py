@@ -3,8 +3,8 @@
 Each benchmark regenerates one table/figure of the paper at smoke
 scale, asserts its shape checks, and prints the paper-style report
 (run pytest with ``-s`` to see them).  Results are cached in a shared
-runner, so figures built from the same simulations (e.g. Figs. 13 and
-16) pay for them once per session.
+replay runner, so figures built from the same simulations (e.g.
+Figs. 13 and 16) pay for them once per session.
 
 CI hooks
 --------
@@ -27,7 +27,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.experiment import ExperimentRunner, SMOKE_SCALE
+from repro.bench.figures import SMOKE_SCALE
+from repro.bench.memo import ReplayRunner
+from repro.nand.spec import sim_spec
+from repro.scenario.spec import ScenarioSpec
 
 #: The CI-smoke geometry: same block count as SMOKE_SCALE (the Fig. 18
 #: erase comparison needs it for fair over-provisioning), fewer
@@ -45,9 +48,9 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One shared, memoizing experiment runner per benchmark session."""
-    return ExperimentRunner()
+def runner() -> ReplayRunner:
+    """One shared, memoizing replay runner per benchmark session."""
+    return ReplayRunner()
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +59,29 @@ def scale():
     if os.environ.get("REPRO_BENCH_SMOKE"):
         return CI_SMOKE_SCALE
     return SMOKE_SCALE
+
+
+@pytest.fixture(scope="session")
+def ablation_spec(scale) -> ScenarioSpec:
+    """The ablations' base point: web-sql at a 4x speed difference."""
+    return ScenarioSpec(
+        workload="web-sql",
+        num_requests=scale.num_requests,
+        device=sim_spec(speed_ratio=4.0, blocks_per_chip=scale.blocks_per_chip),
+    )
+
+
+def compare(runner, spec):
+    """Replay a conventional-FTL ``spec`` as is and under PPB; returns
+    the two FTLs, baseline first."""
+    base = runner.run(spec).ftl
+    ppb = runner.run(spec.with_(ftl="ppb")).ftl
+    return base, ppb
+
+
+def read_gain(base, ppb) -> float:
+    """PPB's relative host-read time saving over the baseline."""
+    return (base.stats.host_read_us - ppb.stats.host_read_us) / base.stats.host_read_us
 
 
 def report_and_check(report, benchmark_output=True):

@@ -8,25 +8,19 @@ Two design-interpretation studies DESIGN.md calls out:
   should survive any monotone per-layer curve.
 """
 
+from conftest import compare, read_gain
+
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.scenario.sweep import set_paths
 
 
-def test_ablation_allocation_discipline(benchmark, runner, scale):
+def test_ablation_allocation_discipline(benchmark, runner, ablation_spec):
     def run():
         out = {}
         for discipline in ("pipelined", "strict"):
-            cell = Cell(
-                workload="web-sql",
-                speed_ratio=4.0,
-                allocation_discipline=discipline,
-                scale=scale,
-            )
-            base, ppb = runner.compare(cell)
-            out[discipline] = (
-                (base.read_us - ppb.read_us) / base.read_us,
-                ppb.fast_read_fraction,
-            )
+            spec = set_paths(ablation_spec, [("ppb.allocation_discipline", discipline)])
+            base, ppb = compare(runner, spec)
+            out[discipline] = (read_gain(base, ppb), ppb.fast_page_read_fraction())
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -43,18 +37,12 @@ def test_ablation_allocation_discipline(benchmark, runner, scale):
     assert out["pipelined"][0] > out["strict"][0]
 
 
-def test_ablation_latency_profile(benchmark, runner, scale):
+def test_ablation_latency_profile(benchmark, runner, ablation_spec):
     def run():
         rows = []
         for profile in ("linear", "geometric", "physical"):
-            cell = Cell(
-                workload="web-sql",
-                speed_ratio=4.0,
-                latency_profile=profile,
-                scale=scale,
-            )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
+            spec = set_paths(ablation_spec, [("device.latency_profile", profile)])
+            gain = read_gain(*compare(runner, spec))
             rows.append([profile, format_pct(gain)])
         return rows
 

@@ -5,24 +5,20 @@ identification mechanisms" (Section 3.1), using the size check as its
 case study.  This bench swaps in the two alternatives.
 """
 
+from conftest import compare, read_gain
+
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.scenario.sweep import set_paths
 
 
-def test_ablation_identifier(benchmark, runner, scale):
+def test_ablation_identifier(benchmark, runner, ablation_spec):
     def run():
         rows = []
         for identifier in ("size_check", "two_level_lru", "multi_hash"):
-            cell = Cell(
-                workload="web-sql",
-                speed_ratio=4.0,
-                identifier=identifier,
-                scale=scale,
-            )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
-            rows.append([identifier, format_pct(gain),
-                         f"{ppb.fast_read_fraction:.3f}"])
+            spec = set_paths(ablation_spec, [("ppb.identifier", identifier)])
+            base, ppb = compare(runner, spec)
+            rows.append([identifier, format_pct(read_gain(base, ppb)),
+                         f"{ppb.fast_page_read_fraction():.3f}"])
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

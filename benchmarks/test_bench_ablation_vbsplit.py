@@ -6,25 +6,23 @@ enhancement and the overhead of maintaining the virtual blocks should
 be balanced."  This bench sweeps the split factor.
 """
 
+from conftest import compare, read_gain
+
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import Cell
+from repro.scenario.sweep import set_paths
 
 
-def test_ablation_vb_split(benchmark, runner, scale):
+def test_ablation_vb_split(benchmark, runner, ablation_spec):
     def run():
         rows = []
         for split in (2, 3, 4):
-            cell = Cell(
-                workload="web-sql", speed_ratio=4.0, vb_split=split, scale=scale
-            )
-            base, ppb = runner.compare(cell)
-            gain = (base.read_us - ppb.read_us) / base.read_us
+            spec = set_paths(ablation_spec, [("ppb.vb_split", split)])
+            base, ppb = compare(runner, spec)
+            base_erases, ppb_erases = base.stats.erase_count, ppb.stats.erase_count
             erase_delta = (
-                (ppb.erase_count - base.erase_count) / base.erase_count
-                if base.erase_count
-                else 0.0
+                (ppb_erases - base_erases) / base_erases if base_erases else 0.0
             )
-            rows.append([f"{split}-way", format_pct(gain),
+            rows.append([f"{split}-way", format_pct(read_gain(base, ppb)),
                          format_pct(erase_delta, signed=True)])
         return rows
 

@@ -100,27 +100,27 @@ def quick_comparison(
     synthesizes an enterprise workload, replays it under both FTLs and
     reports the read enhancement the PPB strategy achieves.
     """
-    from repro.bench.experiment import BenchScale, Cell, ExperimentRunner, SMOKE_SCALE
+    from repro.bench.figures import SMOKE_SCALE
 
-    runner = ExperimentRunner()
-    cell = Cell(
+    spec = ScenarioSpec(
         workload=workload,
-        speed_ratio=speed_ratio,
+        num_requests=num_requests,
         seed=seed,
-        scale=BenchScale(
-            name="quick",
-            num_requests=num_requests,
-            blocks_per_chip=SMOKE_SCALE.blocks_per_chip,
+        device=sim_spec(
+            speed_ratio=speed_ratio, blocks_per_chip=SMOKE_SCALE.blocks_per_chip
         ),
     )
-    base, ppb = runner.compare(cell)
-    gain = (base.read_us - ppb.read_us) / base.read_us if base.read_us else 0.0
+    base_run, ppb_run = run_scenarios([spec, spec.with_(ftl="ppb")])
+    base = base_run.ftl.stats  # type: ignore[attr-defined]
+    ppb = ppb_run.ftl  # type: ignore[attr-defined]
+    base_read, ppb_read = base.host_read_us, ppb.stats.host_read_us
+    gain = (base_read - ppb_read) / base_read if base_read else 0.0
     lines = [
         f"workload       {workload} ({num_requests} requests, seed {seed})",
         f"speed ratio    {speed_ratio:.0f}x (slowest vs fastest page)",
-        f"conventional   read {base.read_seconds:.3f} s, erases {base.erase_count}",
-        f"ppb            read {ppb.read_seconds:.3f} s, erases {ppb.erase_count}",
+        f"conventional   read {base_read / 1e6:.3f} s, erases {base.erase_count}",
+        f"ppb            read {ppb_read / 1e6:.3f} s, erases {ppb.stats.erase_count}",
         f"read gain      {gain * 100:.2f}%",
-        f"fast-half reads under PPB: {ppb.fast_read_fraction * 100:.1f}%",
+        f"fast-half reads under PPB: {ppb.fast_page_read_fraction() * 100:.1f}%",
     ]
     return "\n".join(lines)

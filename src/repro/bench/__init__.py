@@ -1,24 +1,17 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-:mod:`repro.bench.experiment` runs one (workload, device, FTL) cell and
-caches results so figures sharing cells (e.g. Figs. 13 and 16 use the
-same runs) pay once.  :mod:`repro.bench.figures` parameterizes the
-cells per paper artifact and renders paper-style reports.
-:mod:`repro.bench.memo` generalizes the memoization to arbitrary
-scenario replays; every scenario-file sweep runs through it, so no
-identical replay runs twice.
+:mod:`repro.bench.memo` replays scenario specs with trace and result
+memoization; every figure and every scenario-file sweep runs through
+it, so no identical replay runs twice (Figs. 13 and 16 use the same
+runs, for example).  :mod:`repro.bench.figures` builds the specs of
+each paper artifact and renders paper-style reports.
 """
 
-from repro.bench.experiment import (
-    BenchScale,
-    Cell,
-    CellResult,
-    ExperimentRunner,
-    FULL_SCALE,
-    SMOKE_SCALE,
-)
 from repro.bench.memo import ReplayRunner
 from repro.bench.figures import (
+    FULL_SCALE,
+    SMOKE_SCALE,
+    BenchScale,
     FigureReport,
     figure12,
     figure13,
@@ -32,9 +25,6 @@ from repro.bench.figures import (
 
 __all__ = [
     "BenchScale",
-    "Cell",
-    "CellResult",
-    "ExperimentRunner",
     "FULL_SCALE",
     "SMOKE_SCALE",
     "ReplayRunner",

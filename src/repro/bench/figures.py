@@ -6,23 +6,51 @@ relative statements that must transfer from the paper even though our
 substrate is a scaled simulator (who wins, roughly by how much, where
 the crossovers are).  The pytest benches assert those checks; the CLI
 and EXPERIMENTS.md render the same reports.
+
+Each figure point is a :class:`~repro.scenario.spec.ScenarioSpec`
+replayed under the conventional FTL and under PPB through a memoizing
+:class:`~repro.bench.memo.ReplayRunner`, because the figures share
+underlying runs (Figs. 13 and 16 are the read and write views of the
+same eight simulations; Fig. 18 reuses them again for erase counts).
+
+Scales
+------
+The paper simulates a 64 GB device over multi-day MSR traces; that is
+out of reach for pure Python, so figures run on proportionally scaled
+devices (same pages/block, latencies and over-provisioning — only the
+block count and request count shrink).  Two presets:
+
+* ``FULL_SCALE`` — the EXPERIMENTS.md numbers (minutes per figure).
+* ``SMOKE_SCALE`` — small enough for CI benches (seconds per figure).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.analysis.charts import ascii_series
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.experiment import (
-    BenchScale,
-    Cell,
-    CellResult,
-    ExperimentRunner,
-    FULL_SCALE,
-)
+from repro.bench.memo import ReplayRunner
+from repro.ftl.stats import FtlStats
 from repro.nand.latency import LatencyModel
-from repro.nand.spec import table1_spec
+from repro.nand.spec import sim_spec, table1_spec
+from repro.scenario.spec import ScenarioSpec
+
+
+@dataclass(frozen=True)
+class BenchScale:
+    """How big the simulated device and trace are."""
+
+    name: str
+    num_requests: int
+    blocks_per_chip: int
+
+
+FULL_SCALE = BenchScale("full", num_requests=120_000, blocks_per_chip=256)
+#: small enough for CI benches, but not so small that PPB's handful of
+#: held-open blocks distorts the effective over-provisioning (the erase
+#: comparison of Fig. 18 needs a reasonable block count to be fair).
+SMOKE_SCALE = BenchScale("smoke", num_requests=40_000, blocks_per_chip=160)
 
 #: The paper sweeps the page access speed difference from 2x to 5x.
 SPEED_SWEEP = (2.0, 3.0, 4.0, 5.0)
@@ -69,17 +97,34 @@ class FigureReport:
         return "\n".join(parts)
 
 
-def _scaled_for_page(scale: BenchScale, page_size: int) -> BenchScale:
-    """Keep device capacity constant across page sizes (Fig. 12/15)."""
-    factor = (16 * 1024) // page_size
-    return replace(
-        scale,
-        name=f"{scale.name}-{page_size // 1024}k",
-        blocks_per_chip=scale.blocks_per_chip * factor,
+def _spec(
+    trace: str, scale: BenchScale, speed_ratio: float, page_size: int = 16 * 1024
+) -> ScenarioSpec:
+    """The (conventional-FTL) scenario of one figure point.
+
+    Smaller pages get proportionally more blocks, so device capacity
+    stays constant across page sizes (Fig. 12/15).
+    """
+    return ScenarioSpec(
+        workload=trace,
+        num_requests=scale.num_requests,
+        device=sim_spec(
+            page_size=page_size,
+            speed_ratio=speed_ratio,
+            blocks_per_chip=scale.blocks_per_chip * ((16 * 1024) // page_size),
+        ),
     )
 
 
-def _gain(base: CellResult, ppb: CellResult, attr: str) -> float:
+def _compare(runner: ReplayRunner, spec: ScenarioSpec) -> tuple[FtlStats, FtlStats]:
+    """Replay ``spec`` under the conventional FTL and under PPB; returns
+    their (baseline, ppb) stats."""
+    base = runner.run(spec).ftl.stats  # type: ignore[attr-defined]
+    ppb = runner.run(spec.with_(ftl="ppb")).ftl.stats  # type: ignore[attr-defined]
+    return base, ppb
+
+
+def _gain(base: FtlStats, ppb: FtlStats, attr: str) -> float:
     """Relative enhancement of PPB over the baseline on an attribute."""
     base_value = getattr(base, attr)
     ppb_value = getattr(ppb, attr)
@@ -132,25 +177,20 @@ def table1() -> FigureReport:
 # ----------------------------------------------------------------------
 
 def _page_size_study(
-    runner: ExperimentRunner, scale: BenchScale, attr: str
-) -> list[tuple[str, int, float, CellResult, CellResult]]:
+    runner: ReplayRunner, scale: BenchScale, attr: str
+) -> list[tuple[str, int, float]]:
     out = []
     for trace in TRACES:
         for page_size in PAGE_SIZES:
-            cell = Cell(
-                workload=trace,
-                page_size=page_size,
-                speed_ratio=PAGE_SIZE_STUDY_SPEED,
-                scale=_scaled_for_page(scale, page_size),
-            )
-            base, ppb = runner.compare(cell)
-            out.append((trace, page_size, _gain(base, ppb, attr), base, ppb))
+            spec = _spec(trace, scale, PAGE_SIZE_STUDY_SPEED, page_size)
+            base, ppb = _compare(runner, spec)
+            out.append((trace, page_size, _gain(base, ppb, attr)))
     return out
 
 
-def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure12(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 12: read performance enhancement vs page size."""
-    study = _page_size_study(runner, scale, "read_us")
+    study = _page_size_study(runner, scale, "host_read_us")
     report = FigureReport(
         figure_id="Figure 12",
         title="Read performance enhancement (PPB vs conventional)",
@@ -161,7 +201,7 @@ def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
         headers=["trace", "page size", "read enhancement"],
     )
     gains: dict[tuple[str, int], float] = {}
-    for trace, page_size, gain, _, _ in study:
+    for trace, page_size, gain in study:
         report.rows.append([trace, f"{page_size // 1024} KB", format_pct(gain)])
         gains[(trace, page_size)] = gain
     report.chart = ascii_series(
@@ -191,7 +231,7 @@ def figure12(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     return report
 
 
-def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure15(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 15: write performance enhancement vs page size (~zero)."""
     study = _page_size_study(runner, scale, "host_write_us")
     report = FigureReport(
@@ -201,7 +241,7 @@ def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
         headers=["trace", "page size", "write enhancement"],
     )
     gains = []
-    for trace, page_size, gain, _, _ in study:
+    for trace, page_size, gain in study:
         report.rows.append([trace, f"{page_size // 1024} KB", format_pct(gain)])
         gains.append(gain)
     report.checks = [
@@ -218,7 +258,7 @@ def figure15(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
 # ----------------------------------------------------------------------
 
 def _speed_sweep(
-    runner: ExperimentRunner,
+    runner: ReplayRunner,
     scale: BenchScale,
     trace: str,
     attr: str,
@@ -235,8 +275,7 @@ def _speed_sweep(
     )
     conv_series, ppb_series, gains = [], [], []
     for ratio in SPEED_SWEEP:
-        cell = Cell(workload=trace, speed_ratio=ratio, scale=scale)
-        base, ppb = runner.compare(cell)
+        base, ppb = _compare(runner, _spec(trace, scale, ratio))
         gain = _gain(base, ppb, attr)
         gains.append(gain)
         conv = getattr(base, attr) / 1e6
@@ -274,13 +313,13 @@ def _speed_sweep(
     return report
 
 
-def figure13(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure13(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 13: media server read latency vs speed difference."""
     return _speed_sweep(
         runner,
         scale,
         "media-server",
-        "read_us",
+        "host_read_us",
         "Figure 13",
         "Media server trace: read latency comparison",
         "PPB below conventional at 2x..5x; ~10% average over the sweep",
@@ -288,13 +327,13 @@ def figure13(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure14(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure14(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 14: web server read latency vs speed difference."""
     return _speed_sweep(
         runner,
         scale,
         "web-sql",
-        "read_us",
+        "host_read_us",
         "Figure 14",
         "Web server trace: read latency comparison",
         "PPB below conventional at 2x..5x; ~10% average over the sweep",
@@ -302,7 +341,7 @@ def figure14(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure16(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure16(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 16: media server write latency vs speed difference."""
     return _speed_sweep(
         runner,
@@ -316,7 +355,7 @@ def figure16(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     )
 
 
-def figure17(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure17(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 17: web server write latency vs speed difference."""
     return _speed_sweep(
         runner,
@@ -334,7 +373,7 @@ def figure17(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
 # Fig. 18 — erased block count
 # ----------------------------------------------------------------------
 
-def figure18(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
+def figure18(runner: ReplayRunner, scale: BenchScale = FULL_SCALE) -> FigureReport:
     """Fig. 18: erased block count, conventional vs PPB, both traces."""
     report = FigureReport(
         figure_id="Figure 18",
@@ -347,8 +386,7 @@ def figure18(runner: ExperimentRunner, scale: BenchScale = FULL_SCALE) -> Figure
     labels, conv_vals, ppb_vals = [], [], []
     ratios = []
     for trace in TRACES:
-        cell = Cell(workload=trace, speed_ratio=2.0, scale=scale)
-        base, ppb = runner.compare(cell)
+        base, ppb = _compare(runner, _spec(trace, scale, 2.0))
         increase = (
             (ppb.erase_count - base.erase_count) / base.erase_count
             if base.erase_count

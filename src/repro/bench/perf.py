@@ -33,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.bench.figures import BenchScale
 from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
 from repro.ftl.transmap import MappingConfig
@@ -63,19 +64,10 @@ DEFAULT_TOLERANCE = 0.30
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class PerfScale:
-    """Workload size of one perf run."""
-
-    name: str
-    num_requests: int
-    blocks_per_chip: int
-
-
 #: The CI bench-smoke geometry (same trace the figure benches replay).
-FULL_PERF = PerfScale("perf", num_requests=28_000, blocks_per_chip=160)
+FULL_PERF = BenchScale("perf", num_requests=28_000, blocks_per_chip=160)
 #: REPRO_BENCH_SMOKE geometry: fast enough for every-PR CI gating.
-SMOKE_PERF = PerfScale("perf-smoke", num_requests=6_000, blocks_per_chip=96)
+SMOKE_PERF = BenchScale("perf-smoke", num_requests=6_000, blocks_per_chip=96)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ class PerfMeasurement:
 class PerfReport:
     """Everything one ``repro perf`` invocation measured."""
 
-    scale: PerfScale
+    scale: BenchScale
     repeats: int
     measurements: list[PerfMeasurement] = field(default_factory=list)
 
@@ -137,14 +129,14 @@ class PerfReport:
         return "\n".join(lines)
 
 
-def perf_scale(smoke: bool | None = None) -> PerfScale:
+def perf_scale(smoke: bool | None = None) -> BenchScale:
     """The scale to run at; ``None`` consults :data:`SMOKE_ENV`."""
     if smoke is None:
         smoke = bool(os.environ.get(SMOKE_ENV))
     return SMOKE_PERF if smoke else FULL_PERF
 
 
-def perf_cases(scale: PerfScale) -> list[PerfCase]:
+def perf_cases(scale: BenchScale) -> list[PerfCase]:
     """The timed replay matrix: every FTL, plus the reliability stack."""
     # read disturb on, and gating refresh (the placement-study stack)
     rel = ReliabilityConfig(disturb_coeff=8.0, refresh_disturb_reads=2_000)
@@ -287,7 +279,7 @@ def measure_case(case: PerfCase, repeats: int = 2) -> PerfMeasurement:
 
 
 def run_perf(
-    scale: PerfScale | None = None,
+    scale: BenchScale | None = None,
     repeats: int = 2,
     cases: list[PerfCase] | None = None,
 ) -> PerfReport:

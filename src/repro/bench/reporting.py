@@ -5,17 +5,18 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.bench.experiment import BenchScale, ExperimentRunner, FULL_SCALE
-from repro.bench.figures import FIGURES, FigureReport
+from repro.bench.figures import FIGURES, FULL_SCALE, BenchScale, FigureReport
+from repro.bench.memo import ReplayRunner
 
 
 def run_figures(
     ids: Iterable[str] | None = None,
-    runner: ExperimentRunner | None = None,
+    runner: ReplayRunner | None = None,
     scale: BenchScale = FULL_SCALE,
 ) -> list[FigureReport]:
     """Run the requested figures (default: all) and return their reports."""
-    runner = runner or ExperimentRunner()
+    if runner is None:
+        runner = ReplayRunner()
     selected = list(ids) if ids is not None else list(FIGURES)
     reports = []
     for figure_id in selected:

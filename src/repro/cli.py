@@ -4,8 +4,6 @@ Subcommands
 -----------
 ``figure {table1,12,...,18,all}``
     Regenerate a paper artifact and print the paper-style report.
-``run``
-    Replay one workload on one FTL and print the run summary.
 ``scenario run FILE``
     Execute a declarative scenario file (``.toml``/``.json``; see
     :mod:`repro.scenario`): a single run, or — when the file carries
@@ -21,7 +19,8 @@ Subcommands
     scenario field (``device.speed_ratio``, ``ppb.reliability_weight``,
     ``reread_age_s``...) into an axis and runs the cross-product
     through the memoized replay runner, from defaults or from a
-    ``--spec`` file.
+    ``--spec`` file.  With only single-value ``--set`` flags it replays
+    one workload on one FTL and prints the run summary.
 ``perf``
     Time the paper-figure replays (wall-clock, pages/sec), write the
     ``BENCH_perf.json`` digest, and optionally gate against a committed
@@ -46,8 +45,7 @@ import argparse
 import dataclasses
 import sys
 
-from repro.bench.experiment import FULL_SCALE, SMOKE_SCALE, ExperimentRunner
-from repro.bench.figures import FIGURES
+from repro.bench.figures import FIGURES, FULL_SCALE, SMOKE_SCALE
 from repro.bench.memo import ReplayRunner
 from repro.bench.perf import (
     DEFAULT_REPORT,
@@ -60,8 +58,8 @@ from repro.bench.perf import (
 )
 from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
-from repro.nand.spec import sim_spec, table1_spec
-from repro.scenario.report import summarize_result, sweep_table, timed_summary_lines
+from repro.nand.spec import table1_spec
+from repro.scenario.report import summarize_result, sweep_table
 from repro.scenario.serialize import ScenarioFile, load_scenario_file
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import (
@@ -72,8 +70,6 @@ from repro.scenario.sweep import (
     set_paths,
     sweep,
 )
-from repro.scenario.run import build_trace, execute_scenario
-from repro.sim.arrival import ArrivalSpec
 from repro.traces.msr import read_msr_csv
 from repro.traces.stats import characterize
 from repro.traces.workloads import WORKLOADS as _WORKLOADS
@@ -100,60 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["full", "smoke"],
         default="full",
         help="simulation size (smoke is CI-fast)",
-    )
-
-    run = sub.add_parser("run", help="replay one workload on one FTL")
-    run.add_argument("--workload", choices=sorted(_WORKLOADS), default="web-sql")
-    run.add_argument(
-        "--ftl", choices=["conventional", "fast", "ppb", "dftl"], default="ppb"
-    )
-    run.add_argument("--requests", type=int, default=FULL_SCALE.num_requests)
-    run.add_argument("--speed-ratio", type=float, default=2.0)
-    run.add_argument("--page-size", type=int, default=16 * 1024)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument(
-        "--mode",
-        choices=["sequential", "timed"],
-        default="sequential",
-        help="timed mode queues requests at trace timestamps and "
-        "reports response-time percentiles",
-    )
-    run.add_argument(
-        "--chips", type=int, default=1, help="NAND chips (timed mode overlaps them)"
-    )
-    run.add_argument(
-        "--channels",
-        type=int,
-        default=1,
-        help="host-interface channels (must divide --chips)",
-    )
-    run.add_argument(
-        "--planes",
-        type=int,
-        default=1,
-        help="planes per chip (timed mode overlaps them; FTLs stripe "
-        "writes across per-plane append points)",
-    )
-    run.add_argument(
-        "--arrival-mode",
-        choices=["open", "closed"],
-        default="open",
-        help="timed mode: open replays trace timestamps; closed keeps "
-        "a fixed --queue-depth population outstanding",
-    )
-    run.add_argument(
-        "--queue-depth",
-        type=int,
-        default=0,
-        help="timed mode: bound on in-flight requests (0 = unbounded; "
-        "closed mode: the outstanding population, required >= 1)",
-    )
-    run.add_argument(
-        "--arrival-scale",
-        type=float,
-        default=1.0,
-        help="timed mode: divide trace inter-arrival gaps by this "
-        "(open-loop intensity knob)",
     )
 
     scenario = sub.add_parser(
@@ -487,49 +429,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     scale = FULL_SCALE if args.scale == "full" else SMOKE_SCALE
     ids = None if args.id == "all" else [args.id]
-    reports = run_figures(ids, runner=ExperimentRunner(), scale=scale)
+    reports = run_figures(ids, scale=scale)
     print(render_reports(reports))
     return 0 if all(r.all_checks_pass for r in reports) else 1
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = ScenarioSpec(
-            workload=args.workload,
-            num_requests=args.requests,
-            seed=args.seed,
-            device=sim_spec(
-                speed_ratio=args.speed_ratio,
-                page_size=args.page_size,
-                num_chips=args.chips,
-                num_channels=args.channels,
-                planes_per_chip=args.planes,
-            ),
-            ftl=args.ftl,
-            warm_fill_fraction=0.9,
-            mode=args.mode,
-            arrival=ArrivalSpec(
-                mode=args.arrival_mode,
-                queue_depth=args.queue_depth,
-                scale=args.arrival_scale,
-            ),
-        )
-        result = execute_scenario(scenario, build_trace(scenario))
-    except ConfigError as exc:
-        print(f"repro-flash run: error: {exc}", file=sys.stderr)
-        return 2
-    print(result.summary())
-    ftl = result.ftl  # type: ignore[attr-defined]
-    print(f"host read total   {ftl.stats.host_read_us / 1e6:.3f} s")
-    print(f"host write total  {ftl.stats.host_write_us / 1e6:.3f} s")
-    print(f"gc total          {ftl.stats.gc_us / 1e6:.3f} s")
-    print(f"erased blocks     {ftl.stats.erase_count}")
-    print(f"write amp.        {ftl.stats.write_amplification:.3f}")
-    if hasattr(ftl, "fast_page_read_fraction"):
-        print(f"fast-half reads   {ftl.fast_page_read_fraction():.3f}")
-    for line in timed_summary_lines(result):
-        print(line)
-    return 0
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -559,8 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "figure":
         return _cmd_figure(args)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "sweep":

@@ -102,10 +102,8 @@ def summarize_result(spec: ScenarioSpec, result: RunResult) -> str:
 
 def timed_summary_lines(result: RunResult) -> list[str]:
     """The timed-mode digest lines: overall and per-class response
-    percentiles, throughput and device utilization.
-
-    Shared by :func:`summarize_result` and ``repro run`` so the two
-    views can never drift; empty for sequential results.
+    percentiles, throughput and device utilization; empty for
+    sequential results.
     """
     percentiles = result.response_percentiles()
     if not percentiles:

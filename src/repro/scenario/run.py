@@ -87,22 +87,15 @@ def _build_tenant_trace(spec: ScenarioSpec) -> Trace:
     on timestamps interleaves the streams, modeling independent clients
     sharing one device.
     """
-    from repro.errors import ConfigError
-
     partitions = spec.tenant_partitions()
     streams: list[list[IORequest]] = []
     for index, tenant in enumerate(spec.tenants):
         name, start, size = partitions[index]
-        try:
-            generator = _make_generator(
-                tenant.workload, tenant.num_requests, size,
-                spec.tenant_seed(index),
-                tenant.workload_kwargs, f"tenants[{name!r}].workload_kwargs",
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:  # e.g. partition below the 16 MiB floor
-            raise ConfigError(f"tenants[{name!r}]: {exc}") from None
+        generator = _make_generator(
+            tenant.workload, tenant.num_requests, size,
+            spec.tenant_seed(index),
+            tenant.workload_kwargs, f"tenants[{name!r}].workload_kwargs",
+        )
         streams.append(
             [r.shifted(start) for r in generator.generate().requests]
         )

@@ -36,7 +36,7 @@ from repro.nand.spec import NandSpec, sim_spec
 from repro.reliability.faults import FaultSpec
 from repro.reliability.manager import ReliabilityConfig
 from repro.sim.arrival import ArrivalSpec
-from repro.traces.workloads import WORKLOADS
+from repro.traces.workloads import MIN_FOOTPRINT_BYTES, WORKLOADS
 
 #: Replay modes the engine accepts (see :meth:`repro.sim.ssd.SSD.replay`).
 VALID_MODES = ("sequential", "timed")
@@ -265,6 +265,13 @@ class ScenarioSpec:
         object.__setattr__(self, "tenants", tenants)
         if tenants and self.trace_path is not None:
             raise ConfigError("tenants and trace_path are mutually exclusive")
+        for i, (name, _, size) in enumerate(self.tenant_partitions()):
+            if size < MIN_FOOTPRINT_BYTES:
+                raise ConfigError(
+                    f"tenants[{i}].share: tenant {name!r} gets a {size}-byte "
+                    f"partition of the {self.footprint_bytes}-byte footprint, below "
+                    f"the {MIN_FOOTPRINT_BYTES}-byte workload floor"
+                )
         phases = tuple(
             PreconditionPhase(**p) if isinstance(p, dict) else p
             for p in self.precondition

@@ -39,6 +39,11 @@ from repro.traces.synthetic import (
 _KB = 1024
 _MB = 1024 * 1024
 
+#: smallest byte footprint a workload generator accepts (its regions
+#: need room for their slots); scenario specs check tenant partitions
+#: against it when they are built.
+MIN_FOOTPRINT_BYTES = 16 * _MB
+
 
 @dataclass(frozen=True)
 class Region:
@@ -86,9 +91,10 @@ class SyntheticWorkload:
     ) -> None:
         if num_requests < 1:
             raise ConfigError(f"num_requests must be >= 1, got {num_requests}")
-        if footprint_bytes < 16 * _MB:
+        if footprint_bytes < MIN_FOOTPRINT_BYTES:
             raise ConfigError(
-                f"footprint_bytes must be >= 16 MiB, got {footprint_bytes}"
+                f"footprint_bytes must be >= {MIN_FOOTPRINT_BYTES // _MB} MiB, "
+                f"got {footprint_bytes}"
             )
         self.num_requests = num_requests
         self.footprint_bytes = footprint_bytes

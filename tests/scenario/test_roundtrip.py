@@ -25,6 +25,7 @@ from repro.scenario.serialize import (
 )
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
 from repro.sim.arrival import ArrivalSpec
+from repro.traces.workloads import MIN_FOOTPRINT_BYTES
 
 # -- strategies --------------------------------------------------------
 
@@ -47,7 +48,18 @@ def kwargses() -> st.SearchStrategy[dict]:
     )
 
 
-def tenant_lists() -> st.SearchStrategy[tuple]:
+def _with_tenants(spec: ScenarioSpec) -> st.SearchStrategy[ScenarioSpec]:
+    # Every tenant partition must clear the workload floor, so tenant
+    # lists are conditioned on how many floors the footprint holds
+    # (1 MiB of slack per floor covers the 4 KiB partition rounding).
+    room = spec.footprint_bytes / (MIN_FOOTPRINT_BYTES + 2**20)
+    if room < 1:
+        return st.just(spec)
+    # a second tenant (share 1.0) fits when a's share s keeps both
+    # slices above one floor: 1 / (room - 1) <= s <= room - 1.
+    low, high = 0.1, 8.0
+    if room >= 2:
+        low, high = max(low, 1 / (room - 1)), min(high, room - 1)
     tenant = st.builds(
         TenantSpec,
         name=st.just("a"),
@@ -59,19 +71,20 @@ def tenant_lists() -> st.SearchStrategy[tuple]:
             max_size=1,
         ),
         seed=st.integers(min_value=-1, max_value=100),
-        share=st.floats(min_value=0.1, max_value=8.0, allow_nan=False),
+        share=st.floats(min_value=low, max_value=high, allow_nan=False),
     )
-    second = st.builds(
-        TenantSpec,
-        name=st.just("b"),
-        workload=st.sampled_from(["media-server", "uniform"]),
-        num_requests=st.integers(min_value=1, max_value=10_000),
-    )
-    return st.one_of(
-        st.just(()),
-        st.tuples(tenant),
-        st.tuples(tenant, second),
-    )
+    options = [st.just(spec), st.tuples(tenant).map(lambda t: spec.with_(tenants=t))]
+    if room >= 2:
+        second = st.builds(
+            TenantSpec,
+            name=st.just("b"),
+            workload=st.sampled_from(["media-server", "uniform"]),
+            num_requests=st.integers(min_value=1, max_value=10_000),
+        )
+        options.append(
+            st.tuples(tenant, second).map(lambda t: spec.with_(tenants=t))
+        )
+    return st.one_of(*options)
 
 
 def precondition_lists() -> st.SearchStrategy[tuple]:
@@ -169,7 +182,12 @@ def _with_arrival(spec: ScenarioSpec) -> st.SearchStrategy[ScenarioSpec]:
 
 
 def scenarios() -> st.SearchStrategy[ScenarioSpec]:
-    return _scenario_bases().flatmap(_with_faults).flatmap(_with_arrival)
+    return (
+        _scenario_bases()
+        .flatmap(_with_tenants)
+        .flatmap(_with_faults)
+        .flatmap(_with_arrival)
+    )
 
 
 def _scenario_bases() -> st.SearchStrategy[ScenarioSpec]:
@@ -179,7 +197,6 @@ def _scenario_bases() -> st.SearchStrategy[ScenarioSpec]:
         workload=st.sampled_from(["web-sql", "media-server", "uniform"]),
         num_requests=st.integers(min_value=1, max_value=200_000),
         workload_kwargs=kwargses(),
-        tenants=tenant_lists(),
         precondition=precondition_lists(),
         footprint_fraction=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
         seed=st.integers(min_value=0, max_value=2**31),

@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
 from repro.scenario.run import build_trace, run_scenario
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
+from repro.scenario.sweep import SweepAxis, sweep
 from repro.sim.arrival import ArrivalSpec
 from repro.traces.record import OpType
 
@@ -71,6 +72,22 @@ class TestTenantValidation:
     def test_bad_share_rejected(self):
         with pytest.raises(ConfigError, match="share"):
             TenantSpec(name="a", share=0.0)
+
+    def test_partition_below_the_workload_floor_rejected_when_built(self):
+        # b's 1% slice of a 16-block device is ~0.7 MiB: no workload can
+        # run there, so the spec (not a later trace build) refuses it.
+        with pytest.raises(ConfigError, match=r"tenants\[1\]\.share"):
+            ScenarioSpec(
+                device=sim_spec(blocks_per_chip=16),
+                tenants=(
+                    TenantSpec(name="a", share=0.99),
+                    TenantSpec(name="b", share=0.01),
+                ),
+            )
+
+    def test_share_sweep_below_the_floor_fails_before_any_replay(self):
+        with pytest.raises(ConfigError, match=r"tenants\[1\]\.share"):
+            sweep(TENANTED, [SweepAxis("tenants.logger.share", (0.5, 0.001))])
 
     def test_unknown_workload_names_the_tenant(self):
         with pytest.raises(ConfigError, match="tenant 'a'"):

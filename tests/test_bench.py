@@ -1,57 +1,28 @@
-"""Tests for the experiment harness plumbing (cells, caching, reports)."""
+"""Tests for the experiment harness plumbing (spec caching, reports)."""
 
 import pytest
 
-from repro.bench.experiment import (
-    BenchScale,
-    Cell,
-    ExperimentRunner,
-)
 from repro.bench.figures import FigureReport, table1
+from repro.bench.memo import ReplayRunner
 from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
+from repro.nand.spec import sim_spec
+from repro.scenario.spec import ScenarioSpec
 
-TINY = BenchScale("tiny", num_requests=4000, blocks_per_chip=96)
-
-
-class TestCell:
-    def test_spec_reflects_knobs(self):
-        cell = Cell(page_size=8 * 1024, speed_ratio=3.0, scale=TINY)
-        spec = cell.spec()
-        assert spec.page_size == 8 * 1024
-        assert spec.speed_ratio == 3.0
-        assert spec.blocks_per_chip == 96
-
-    def test_with_changes(self):
-        cell = Cell()
-        changed = cell.with_(speed_ratio=5.0)
-        assert changed.speed_ratio == 5.0
-        assert cell.speed_ratio == 2.0
-
-    def test_ppb_config_carries_knobs(self):
-        cell = Cell(vb_split=4, identifier="multi_hash")
-        config = cell.ppb_config()
-        assert config.vb_split == 4
-        assert config.identifier == "multi_hash"
+TINY = ScenarioSpec(
+    workload="uniform", num_requests=4000, device=sim_spec(blocks_per_chip=96)
+)
 
 
 class TestRunner:
     def test_unknown_workload_rejected(self):
-        runner = ExperimentRunner()
+        runner = ReplayRunner()
         with pytest.raises(ConfigError):
-            runner.trace_for(Cell(workload="nope", scale=TINY))
+            runner.trace_for(TINY.with_(workload="nope"))
 
     def test_trace_cached_by_content_key(self):
-        runner = ExperimentRunner()
-        cell = Cell(workload="uniform", scale=TINY)
-        assert runner.trace_for(cell) is runner.trace_for(cell.with_(ftl="ppb"))
-
-    def test_compare_returns_both(self):
-        runner = ExperimentRunner()
-        cell = Cell(workload="uniform", scale=TINY)
-        base, ppb = runner.compare(cell)
-        assert base.cell.ftl == "conventional"
-        assert ppb.cell.ftl == "ppb"
+        runner = ReplayRunner()
+        assert runner.trace_for(TINY) is runner.trace_for(TINY.with_(ftl="ppb"))
 
 
 class TestReports:

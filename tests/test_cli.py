@@ -28,29 +28,38 @@ class TestCharacterize:
 
 
 class TestRun:
+    """A single replay is a ``sweep`` with single-value ``--set`` flags;
+    the old one-replay flags are dotted paths (see the README's table)."""
+
     def test_run_small(self, capsys):
         code = main(
             [
-                "run",
-                "--workload",
-                "uniform",
-                "--ftl",
-                "ppb",
-                "--requests",
-                "2000",
+                "sweep",
+                "--set", "workload=uniform",
+                "--set", "ftl=ppb",
+                "--set", "num_requests=2000",
+                "--set", "warm_fill_fraction=0.9",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "erased blocks" in out
-        assert "fast-half reads" in out
+        for label in (
+            "host read total",
+            "host write total",
+            "gc total",
+            "erased blocks",
+            "write amp.",
+            "fast-half reads",
+        ):
+            assert label in out
 
     def test_run_conventional(self, capsys):
         code = main(
-            ["run", "--workload", "uniform", "--ftl", "conventional",
-             "--requests", "1000"]
+            ["sweep", "--set", "workload=uniform", "--set", "ftl=conventional",
+             "--set", "num_requests=1000", "--set", "warm_fill_fraction=0.9"]
         )
         assert code == 0
+        assert "fast-half reads" not in capsys.readouterr().out
 
 
 class TestFigure:

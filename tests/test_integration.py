@@ -13,99 +13,101 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiment import BenchScale, Cell, ExperimentRunner
+from repro.bench.memo import ReplayRunner
+from repro.nand.spec import sim_spec
+from repro.scenario.spec import ScenarioSpec
 
 #: miniature scale so the whole module runs in seconds.
-MICRO = BenchScale("micro", num_requests=12_000, blocks_per_chip=128)
+MICRO_REQUESTS = 12_000
+MICRO_BLOCKS = 128
+
+
+def micro_spec(workload: str, speed_ratio: float, **device: object) -> ScenarioSpec:
+    """A conventional-FTL replay at the miniature scale."""
+    return ScenarioSpec(
+        workload=workload,
+        num_requests=MICRO_REQUESTS,
+        device=sim_spec(speed_ratio=speed_ratio, blocks_per_chip=MICRO_BLOCKS, **device),
+    )
+
+
+def compare(runner: ReplayRunner, spec: ScenarioSpec):
+    """(conventional, PPB) FTL stats after replaying ``spec`` under each."""
+    base = runner.run(spec).ftl.stats
+    ppb = runner.run(spec.with_(ftl="ppb")).ftl.stats
+    return base, ppb
+
+
+def read_gain(base, ppb) -> float:
+    return (base.host_read_us - ppb.host_read_us) / base.host_read_us
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner()
+def runner() -> ReplayRunner:
+    return ReplayRunner()
 
 
 class TestPaperHeadline:
     def test_ppb_improves_reads_on_web_workload(self, runner):
-        cell = Cell(workload="web-sql", speed_ratio=4.0, scale=MICRO)
-        base, ppb = runner.compare(cell)
-        assert ppb.read_us < base.read_us
+        base, ppb = compare(runner, micro_spec("web-sql", 4.0))
+        assert ppb.host_read_us < base.host_read_us
 
     def test_ppb_improves_reads_on_media_workload(self, runner):
-        cell = Cell(workload="media-server", speed_ratio=4.0, scale=MICRO)
-        base, ppb = runner.compare(cell)
-        assert ppb.read_us < base.read_us
+        base, ppb = compare(runner, micro_spec("media-server", 4.0))
+        assert ppb.host_read_us < base.host_read_us
 
     def test_write_latency_essentially_unchanged(self, runner):
-        cell = Cell(workload="web-sql", speed_ratio=4.0, scale=MICRO)
-        base, ppb = runner.compare(cell)
+        base, ppb = compare(runner, micro_spec("web-sql", 4.0))
         delta = abs(ppb.host_write_us - base.host_write_us) / base.host_write_us
         assert delta < 0.005
 
     def test_erases_not_excessive(self, runner):
-        cell = Cell(workload="web-sql", speed_ratio=4.0, scale=MICRO)
-        base, ppb = runner.compare(cell)
+        base, ppb = compare(runner, micro_spec("web-sql", 4.0))
         assert ppb.erase_count <= base.erase_count * 1.5
 
     def test_gain_grows_with_speed_ratio(self, runner):
         gains = []
         for ratio in (2.0, 5.0):
-            cell = Cell(workload="web-sql", speed_ratio=ratio, scale=MICRO)
-            base, ppb = runner.compare(cell)
-            gains.append((base.read_us - ppb.read_us) / base.read_us)
+            gains.append(read_gain(*compare(runner, micro_spec("web-sql", ratio))))
         assert gains[1] > gains[0]
 
 
 class TestNullControls:
     def test_no_gain_on_symmetric_device(self, runner):
         """On a uniform-latency device PPB has nothing to exploit."""
-        cell = Cell(
-            workload="web-sql",
-            speed_ratio=4.0,
-            latency_profile="uniform",
-            scale=MICRO,
-        )
-        base, ppb = runner.compare(cell)
-        gain = (base.read_us - ppb.read_us) / base.read_us
-        assert abs(gain) < 0.01
+        spec = micro_spec("web-sql", 4.0, latency_profile="uniform")
+        assert abs(read_gain(*compare(runner, spec))) < 0.01
 
     def test_little_gain_on_unskewed_workload(self, runner):
-        cell = Cell(workload="uniform", speed_ratio=4.0, scale=MICRO)
-        base, ppb = runner.compare(cell)
-        gain = (base.read_us - ppb.read_us) / base.read_us
+        gain = read_gain(*compare(runner, micro_spec("uniform", 4.0)))
         # uniform traffic has no hot data to place; allow small noise
         assert gain < 0.05
 
 
 class TestDeterminism:
     def test_cells_are_reproducible(self):
-        cell = Cell(workload="web-sql", speed_ratio=3.0, scale=MICRO)
-        a = ExperimentRunner().run(cell)
-        b = ExperimentRunner().run(cell)
-        assert a.read_us == b.read_us
+        spec = micro_spec("web-sql", 3.0)
+        a = ReplayRunner().run(spec).ftl.stats
+        b = ReplayRunner().run(spec).ftl.stats
+        assert a.host_read_us == b.host_read_us
         assert a.host_write_us == b.host_write_us
         assert a.erase_count == b.erase_count
 
     def test_runner_caches(self, runner):
-        cell = Cell(workload="web-sql", speed_ratio=4.0, scale=MICRO)
-        first = runner.run(cell)
-        second = runner.run(cell)
+        spec = micro_spec("web-sql", 4.0)
+        first = runner.run(spec)
+        second = runner.run(spec)
         assert first is second
 
     def test_trace_shared_across_ftls(self, runner):
-        cell = Cell(workload="web-sql", speed_ratio=4.0, scale=MICRO)
-        trace_a = runner.trace_for(cell.with_(ftl="conventional"))
-        trace_b = runner.trace_for(cell.with_(ftl="ppb"))
+        spec = micro_spec("web-sql", 4.0)
+        trace_a = runner.trace_for(spec.with_(ftl="conventional"))
+        trace_b = runner.trace_for(spec.with_(ftl="ppb"))
         assert trace_a is trace_b
 
 
 class TestProfileSensitivity:
     @pytest.mark.parametrize("profile", ["linear", "geometric", "physical"])
     def test_ppb_wins_under_every_asymmetric_profile(self, runner, profile):
-        cell = Cell(
-            workload="web-sql",
-            speed_ratio=4.0,
-            latency_profile=profile,
-            scale=MICRO,
-        )
-        base, ppb = runner.compare(cell)
-        assert ppb.read_us < base.read_us
+        base, ppb = compare(runner, micro_spec("web-sql", 4.0, latency_profile=profile))
+        assert ppb.host_read_us < base.host_read_us
