@@ -8,8 +8,9 @@ a threshold on the count is the O(1) equivalent and is what we do.
 
 Two pressure valves keep the table honest:
 
-* **capacity eviction** — when full, the entry with the lowest count is
-  dropped (its data degrades to icy-cold by default);
+* **capacity eviction** — when full, a batch of about 1.5% of the
+  capacity with the lowest counts is dropped, oldest entry first among
+  equal counts (its data degrades to icy-cold by default);
 * **aging** — counts are halved every ``aging_period`` recorded events,
   so data that stops being read drifts back toward icy-cold ("demote if
   not modified"/"demote if full", Fig. 6).
@@ -17,15 +18,19 @@ Two pressure valves keep the table honest:
 
 from __future__ import annotations
 
-import heapq
-from operator import itemgetter
+from itertools import compress, islice
 
 from repro.errors import ConfigError
 from repro.core.hotness import HotnessLevel
 
 
 class AccessFrequencyTable:
-    """Bounded LPN -> read-count table with threshold classification."""
+    """Bounded LPN -> read-count table with threshold classification.
+
+    Alongside the counts the table keeps their histogram (count ->
+    number of entries holding it), updated on every change, so an
+    eviction finds its cut-off count without scanning the table.
+    """
 
     def __init__(
         self,
@@ -41,6 +46,7 @@ class AccessFrequencyTable:
         self.promote_reads = promote_reads
         self.aging_period = aging_period
         self._counts: dict[int, int] = {}
+        self._histogram: dict[int, int] = {}
         self._events_since_aging = 0
         # Counters for reports.
         self.promotions = 0
@@ -78,6 +84,11 @@ class AccessFrequencyTable:
         it (the paper stores new cold data in the icy-cold area first).
         """
         counts = self._counts
+        histogram = self._histogram
+        old = counts.get(lpn)
+        if old is not None:
+            self._forget(old)
+        histogram[0] = histogram.get(0, 0) + 1
         counts[lpn] = 0
         if len(counts) > self.capacity:
             self._enforce_capacity()
@@ -89,7 +100,14 @@ class AccessFrequencyTable:
     def on_read(self, lpn: int) -> bool:
         """Log one read; returns True if this read promoted icy -> cold."""
         counts = self._counts
-        count = counts.get(lpn, 0) + 1
+        histogram = self._histogram
+        old = counts.get(lpn)
+        if old is None:
+            count = 1
+        else:
+            self._forget(old)
+            count = old + 1
+        histogram[count] = histogram.get(count, 0) + 1
         counts[lpn] = count
         promoted = count == self.promote_reads
         if promoted:
@@ -104,29 +122,58 @@ class AccessFrequencyTable:
 
     def drop(self, lpn: int) -> None:
         """Remove a chunk (reclassified hot, or trimmed)."""
-        self._counts.pop(lpn, None)
+        count = self._counts.pop(lpn, None)
+        if count is not None:
+            self._forget(count)
 
     # ------------------------------------------------------------------
     # Pressure valves
     # ------------------------------------------------------------------
 
     def _enforce_capacity(self) -> None:
-        # Evict in batches: one O(n) scan drops the ~1.5% lowest-count
-        # entries, amortizing to O(1) per insert (a strict per-insert
-        # min() scan is quadratic over a long trace).
+        """Evict the ``batch`` lowest counts, oldest first among equals.
+
+        Evicting in batches of ~1.5% of the capacity amortizes the
+        eviction to O(1) per insert.  The victims are exactly the first
+        ``batch`` entries of a stable sort by count: every entry below a
+        cut-off count, then the oldest entries at the cut-off.  The
+        histogram gives the cut-off and how many entries lie below it,
+        so each of the two passes over the table, in insertion order,
+        stops at its last victim.
+        """
         counts = self._counts
         if len(counts) <= self.capacity:
             return
         batch = max(1, self.capacity // 64, len(counts) - self.capacity)
-        # itemgetter is C-implemented; a python lambda here costs one
-        # interpreter call per table entry per eviction scan.
-        victims = heapq.nsmallest(batch, counts.items(), key=itemgetter(1))
-        for lpn, _ in victims:
+        histogram = self._histogram
+        below = 0  # entries with a count under the cut-off, all evicted
+        for cut in sorted(histogram):
+            if below + histogram[cut] >= batch:
+                break
+            below += histogram.pop(cut)
+        ties = batch - below  # the oldest entries at the cut-off
+        victims = list(islice(compress(counts, map(cut.__gt__, counts.values())), below))
+        victims += islice(compress(counts, map(cut.__eq__, counts.values())), ties)
+        for lpn in victims:
             del counts[lpn]
-        self.evictions += len(victims)
+        self._forget(cut, ties)
+        self.evictions += batch
+
+    def _forget(self, count: int, entries: int = 1) -> None:
+        """Take ``entries`` entries holding ``count`` out of the histogram."""
+        histogram = self._histogram
+        left = histogram[count] - entries
+        if left:
+            histogram[count] = left
+        else:
+            del histogram[count]
 
     def _age(self) -> None:
         """Halve every count (the callers gate on the aging period)."""
         self._counts = {lpn: c >> 1 for lpn, c in self._counts.items()}
+        halved: dict[int, int] = {}
+        for count, entries in self._histogram.items():
+            halved[count >> 1] = halved.get(count >> 1, 0) + entries
+        self._histogram = halved
         self._events_since_aging = 0
         self.agings += 1

@@ -23,7 +23,11 @@ Two layers live here:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -93,16 +97,23 @@ class ScrambledZipfian:
 
     Ranks from :class:`ZipfianGenerator` are pushed through FNV-1a and
     reduced modulo ``n``, so item popularity still follows the Zipf law
-    but hot items do not cluster at low indices.
+    but hot items do not cluster at low indices.  The hash is a pure
+    function of the rank, so each rank's item is computed once and
+    cached (Zipf draws repeat the popular ranks constantly).
     """
 
     def __init__(self, n: int, theta: float = 0.99, rng: np.random.Generator | None = None):
         self.n = n
         self._zipf = ZipfianGenerator(n, theta, rng)
+        self._items: dict[int, int] = {}
 
     def next(self) -> int:
         """Sample one item index."""
-        return fnv1a_64(self._zipf.next()) % self.n
+        rank = self._zipf.next()
+        item = self._items.get(rank)
+        if item is None:
+            item = self._items[rank] = fnv1a_64(rank) % self.n
+        return item
 
     def sample(self, count: int) -> np.ndarray:
         """Sample ``count`` item indices as an array."""
@@ -366,13 +377,35 @@ def _parse_phase(token: str) -> PatternPhase:
     return PatternPhase(op=op, pattern=pattern, zones=zones, weight=weight)
 
 
-def choose_weighted(rng: np.random.Generator, weights: dict[str, float]) -> str:
-    """Pick a key with probability proportional to its weight."""
-    if not weights:
-        raise ConfigError("weights must be non-empty")
-    keys = list(weights)
-    values = np.array([weights[k] for k in keys], dtype=np.float64)
-    if np.any(values < 0) or values.sum() <= 0:
-        raise ConfigError(f"weights must be non-negative and sum > 0, got {weights}")
-    values = values / values.sum()
-    return keys[int(rng.choice(len(keys), p=values))]
+class WeightedChoice:
+    """Pick keys with probability proportional to their weight.
+
+    Draws exactly as ``rng.choice(len(keys), p=weights / weights.sum())``
+    does: numpy builds the CDF ``p.cumsum() / cdf[-1]`` and locates one
+    ``rng.random()`` draw in it with a right-sided search.  Doing that
+    with a CDF built once and :func:`bisect.bisect_right` gives the same
+    picks from the same bit stream, without numpy's per-call validation
+    and array setup.  Weights are validated here instead, where a bad
+    one can still be named.
+    """
+
+    def __init__(self, weights: Mapping[str, float], rng: np.random.Generator) -> None:
+        if not weights:
+            raise ConfigError("weights must be non-empty")
+        for key, weight in weights.items():
+            if not (isinstance(weight, Real) and 0 <= weight < math.inf):
+                raise ConfigError(
+                    f"weight of {key!r} must be a finite number >= 0, got {weight!r}"
+                )
+        self.keys = list(weights)
+        values = np.array([weights[k] for k in self.keys])
+        if values.sum() <= 0:
+            raise ConfigError(f"weights must not all be zero, got {dict(weights)}")
+        cdf = (values / values.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+        self.rng = rng
+
+    def next(self) -> str:
+        """Draw one key."""
+        return self.keys[bisect_right(self._cdf, self.rng.random())]

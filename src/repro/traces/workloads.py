@@ -22,6 +22,7 @@ are constructor parameters so sensitivity studies can sweep them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.traces.synthetic import (
     PatternPhase,
     ScrambledZipfian,
     UniformSampler,
+    WeightedChoice,
     make_pattern,
     parse_phases,
 )
@@ -129,6 +131,24 @@ class SyntheticWorkload:
             cursor += size
         return regions
 
+    def _event_choice(
+        self,
+        event_weights: Mapping[str, float],
+        emitters: Mapping[str, Callable[..., None]],
+    ) -> WeightedChoice:
+        """The per-event pick, checked when the generator is built.
+
+        Every weighted event must name one of ``emitters``, and
+        :class:`WeightedChoice` checks the weights themselves.
+        """
+        for event in event_weights:
+            if event not in emitters:
+                raise ConfigError(
+                    f"event_weights[{event!r}]: unknown {self.trace_name} event; "
+                    f"choose from {sorted(emitters)}"
+                )
+        return WeightedChoice(event_weights, self.rng)
+
     # -- generation ------------------------------------------------------
 
     def _emit(self) -> None:
@@ -199,22 +219,10 @@ class MediaServerWorkload(SyntheticWorkload):
         temp_slots = self.regions["temp"].num_slots(8 * _KB)
         self._temp_sampler = UniformSampler(temp_slots, self.rng)
         self._ingest_cursor = 0
-        self._events = list(self.event_weights)
-        weights = np.array([self.event_weights[e] for e in self._events])
-        self._event_p = weights / weights.sum()
+        self._events = self._event_choice(self.event_weights, self._EMITTERS)
 
     def _emit(self) -> None:
-        event = self._events[int(self.rng.choice(len(self._events), p=self._event_p))]
-        if event == "stream":
-            self._emit_stream()
-        elif event == "ingest":
-            self._emit_ingest()
-        elif event == "metadata":
-            self._emit_metadata()
-        elif event == "temp":
-            self._emit_temp()
-        else:
-            self._emit_backup()
+        self._EMITTERS[self._events.next()](self)
 
     def _emit_stream(self) -> None:
         """Sequential read run inside a Zipf-popular media file."""
@@ -266,6 +274,15 @@ class MediaServerWorkload(SyntheticWorkload):
         op = OpType.WRITE if self.rng.random() < 0.95 else OpType.READ
         self._push(op, offset, 256 * _KB)
 
+    #: event name -> emitter (plain functions, so no bound-method cycle).
+    _EMITTERS: dict[str, Callable[[MediaServerWorkload], None]] = {
+        "stream": _emit_stream,
+        "ingest": _emit_ingest,
+        "metadata": _emit_metadata,
+        "temp": _emit_temp,
+        "backup": _emit_backup,
+    }
+
 
 class WebSqlWorkload(SyntheticWorkload):
     """Web + SQL server, modelled on the MSRC web/SQL volumes.
@@ -312,20 +329,10 @@ class WebSqlWorkload(SyntheticWorkload):
         session_slots = self.regions["session"].num_slots(session_write_bytes)
         self._session_sampler = UniformSampler(session_slots, self.rng)
         self._log_cursor = 0
-        self._events = list(self.event_weights)
-        weights = np.array([self.event_weights[e] for e in self._events])
-        self._event_p = weights / weights.sum()
+        self._events = self._event_choice(self.event_weights, self._EMITTERS)
 
     def _emit(self) -> None:
-        event = self._events[int(self.rng.choice(len(self._events), p=self._event_p))]
-        if event == "index":
-            self._emit_index()
-        elif event == "query":
-            self._emit_query()
-        elif event == "session":
-            self._emit_session()
-        else:
-            self._emit_log()
+        self._EMITTERS[self._events.next()](self)
 
     def _emit_index(self) -> None:
         """Iron-hot: hot index pages, ~70% reads, small writes."""
@@ -362,6 +369,14 @@ class WebSqlWorkload(SyntheticWorkload):
         offset = region.slot_offset(self._log_cursor % slots, chunk)
         self._log_cursor += 1
         self._push(OpType.WRITE, offset, chunk)
+
+    #: event name -> emitter (plain functions, so no bound-method cycle).
+    _EMITTERS: dict[str, Callable[[WebSqlWorkload], None]] = {
+        "index": _emit_index,
+        "query": _emit_query,
+        "session": _emit_session,
+        "log": _emit_log,
+    }
 
 
 class UniformWorkload(SyntheticWorkload):

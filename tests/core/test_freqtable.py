@@ -1,5 +1,8 @@
 """Tests for the cold area's access-frequency table (paper Fig. 11a)."""
 
+import heapq
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,3 +110,90 @@ class TestBoundedInvariant:
                 table.on_write(lpn)
             assert len(table) <= 10 + 1  # transiently one over before eviction
         assert len(table) <= 10
+
+
+class NsmallestTable:
+    """Reference eviction: one ``heapq.nsmallest`` scan per batch.
+
+    ``nsmallest`` is stable, so among equal counts it keeps the oldest
+    entries first; the table must evict exactly the same entries.
+    """
+
+    def __init__(self, capacity, aging_period):
+        self.capacity = capacity
+        self.aging_period = aging_period
+        self.counts = {}
+        self.events = 0
+        self.evictions = 0
+
+    def on_write(self, lpn):
+        self.counts[lpn] = 0
+        self._after_event()
+
+    def on_read(self, lpn):
+        self.counts[lpn] = self.counts.get(lpn, 0) + 1
+        self._after_event()
+
+    def drop(self, lpn):
+        self.counts.pop(lpn, None)
+
+    def _after_event(self):
+        counts = self.counts
+        if len(counts) > self.capacity:
+            batch = max(1, self.capacity // 64, len(counts) - self.capacity)
+            victims = heapq.nsmallest(batch, counts.items(), key=lambda item: item[1])
+            for lpn, _ in victims:
+                del counts[lpn]
+            self.evictions += len(victims)
+        if self.aging_period:
+            self.events += 1
+            if self.events >= self.aging_period:
+                self.counts = {lpn: c >> 1 for lpn, c in counts.items()}
+                self.events = 0
+
+
+@st.composite
+def table_programs(draw):
+    """A capacity, an aging period and an operation list.
+
+    The list first fills the table and reads every entry one to three
+    times.  In the larger tables, whose batches evict several entries,
+    the first new writes then leave fewer zero counts than one batch,
+    so the eviction must take every zero plus the oldest entries at a
+    higher cut-off.  Then come runs of one operation over consecutive
+    LPNs.
+    """
+    capacity = draw(st.sampled_from([1, 3, 10, 130, 260]))
+    aging_period = draw(st.sampled_from([0, 7, 50, 300]))
+    space = 2 * capacity + 4
+    reads = draw(st.lists(st.integers(1, 3), min_size=capacity, max_size=capacity))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["on_write", "on_read", "on_read", "drop"]),
+                st.integers(0, space - 1),
+                st.integers(1, 40),
+            ),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    ops = [("on_write", lpn) for lpn in range(capacity)]
+    ops += [("on_read", lpn) for lpn, n in enumerate(reads) for _ in range(n)]
+    ops += [(op, (start + i) % space) for op, start, length in runs for i in range(length)]
+    return capacity, aging_period, ops
+
+
+class TestEvictionEquivalence:
+    @given(program=table_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_nsmallest_reference(self, program):
+        capacity, aging_period, ops = program
+        table = AccessFrequencyTable(capacity=capacity, aging_period=aging_period)
+        reference = NsmallestTable(capacity, aging_period)
+        for op, lpn in ops:
+            getattr(table, op)(lpn)
+            getattr(reference, op)(lpn)
+            assert list(table._counts.items()) == list(reference.counts.items())
+            assert table.evictions == reference.evictions
+            assert table._histogram == Counter(table._counts.values())

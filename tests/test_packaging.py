@@ -2,8 +2,7 @@
 
 import ast
 import os
-
-import pytest
+import tomllib
 
 import repro
 
@@ -11,7 +10,6 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def test_pyproject_reads_the_version_from_the_package():
-    tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
         config = tomllib.load(handle)
     assert "version" not in config["project"], "pyproject must not pin a version"
@@ -32,3 +30,12 @@ def test_version_is_a_literal_setuptools_can_read_without_importing():
         and isinstance(node.value, ast.Constant)
     ]
     assert literals == [repro.__version__]
+
+
+def test_requires_python_covers_tomllib():
+    # Scenario files are TOML, read with the standard library's tomllib
+    # (3.11+); the package must not claim to work where it cannot.
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        config = tomllib.load(handle)
+    assert config["project"]["requires-python"] == ">=3.11"
+    assert config["tool"]["mypy"]["python_version"] == "3.11"

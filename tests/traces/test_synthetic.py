@@ -13,8 +13,8 @@ from repro.traces.synthetic import (
     SnakePattern,
     StridePattern,
     UniformSampler,
+    WeightedChoice,
     ZipfianGenerator,
-    choose_weighted,
     fnv1a_64,
     make_pattern,
     parse_phases,
@@ -107,18 +107,48 @@ class TestHelpers:
         hashes = {fnv1a_64(i) % 1000 for i in range(100)}
         assert len(hashes) > 80
 
-    def test_choose_weighted_respects_weights(self):
-        rng = np.random.default_rng(0)
-        picks = [choose_weighted(rng, {"a": 0.9, "b": 0.1}) for _ in range(500)]
+    def test_weighted_choice_respects_weights(self):
+        choice = WeightedChoice({"a": 0.9, "b": 0.1}, np.random.default_rng(0))
+        picks = [choice.next() for _ in range(500)]
         assert picks.count("a") > picks.count("b")
 
-    def test_choose_weighted_rejects_empty(self):
+    def test_weighted_choice_rejects_empty(self):
         with pytest.raises(ConfigError):
-            choose_weighted(np.random.default_rng(0), {})
+            WeightedChoice({}, np.random.default_rng(0))
 
-    def test_choose_weighted_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            choose_weighted(np.random.default_rng(0), {"a": -1.0})
+    def test_weighted_choice_rejects_negative(self):
+        with pytest.raises(ConfigError, match="'a'"):
+            WeightedChoice({"a": -1.0, "b": 2.0}, np.random.default_rng(0))
+
+    def test_weighted_choice_rejects_all_zero(self):
+        with pytest.raises(ConfigError, match="all be zero"):
+            WeightedChoice({"a": 0.0, "b": 0}, np.random.default_rng(0))
+
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-6, max_value=1e6),
+                st.integers(min_value=1, max_value=1000),
+            ),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_weighted_choice_draws_as_numpy_choice(self, weights, seed):
+        # Same picks from the same bit stream as rng.choice(n, p=...),
+        # and the stream is left at the same position afterwards.
+        keys = [f"k{i}" for i in range(len(weights))]
+        p = np.array(weights)
+        p = p / p.sum()
+        reference = np.random.default_rng(seed)
+        expected = [keys[int(reference.choice(len(keys), p=p))] for _ in range(200)]
+        rng = np.random.default_rng(seed)
+        choice = WeightedChoice(dict(zip(keys, weights)), rng)
+        assert [choice.next() for _ in range(200)] == expected
+        assert rng.random() == reference.random()
 
 
 def walk(pattern, count):

@@ -139,6 +139,36 @@ class TestBaseValidation:
         assert all(b >= a for a, b in zip(stamps, stamps[1:]))
 
 
+@pytest.mark.parametrize(
+    "cls,known", [(WebSqlWorkload, "index"), (MediaServerWorkload, "stream")]
+)
+class TestEventWeights:
+    """Bad ``event_weights`` fail when the generator is built, naming the key."""
+
+    def test_unknown_event_rejected(self, cls, known):
+        # Used to emit "bogus" events through the last branch of _emit.
+        with pytest.raises(ConfigError, match="'bogus'"):
+            cls(event_weights={known: 1, "bogus": 1})
+
+    def test_negative_weight_rejected(self, cls, known):
+        # Used to fail only inside generate(), with numpy's ValueError.
+        with pytest.raises(ConfigError, match=f"'{known}'"):
+            cls(event_weights={known: -0.5})
+
+    def test_all_zero_weights_rejected(self, cls, known):
+        with pytest.raises(ConfigError, match="all be zero"):
+            cls(event_weights={known: 0.0})
+
+    def test_zero_weight_events_never_drawn(self, cls, known):
+        weights = dict.fromkeys(cls._EMITTERS, 0.0)
+        weights[known] = 1.0
+        mixed = cls(num_requests=500, footprint_bytes=64 * _MB, event_weights=weights)
+        alone = cls(num_requests=500, footprint_bytes=64 * _MB, event_weights={known: 1.0})
+        assert [(r.op, r.offset) for r in mixed.generate()] == [
+            (r.op, r.offset) for r in alone.generate()
+        ]
+
+
 class TestPatternSuite:
     def make(self, **kw):
         kw.setdefault("num_requests", 1000)
