@@ -28,8 +28,8 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.figures import SMOKE_SCALE
-from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 
 #: The CI-smoke geometry: same block count as SMOKE_SCALE (the Fig. 18

@@ -16,13 +16,13 @@ Run:  python examples/placement_study.py
 
 import os
 
-from repro.bench.memo import ReplayRunner
 from repro.core.placement import ReliabilityAwarePlacement
 from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig, ReliabilityManager
 from repro.reliability.retention import SECONDS_PER_HOUR
 from repro.scenario import SweepAxis, load_scenario_file, sweep
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.report import sweep_table
 
 FRONTIER_FILE = os.path.join(

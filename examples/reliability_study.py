@@ -19,12 +19,12 @@ import os
 
 from repro.analysis.charts import ascii_bars
 from repro.analysis.tables import ascii_table
-from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
 from repro.reliability.ecc import EccModel
 from repro.reliability.retention import SECONDS_PER_HOUR, RetentionModel
 from repro.reliability.variation import VariationModel
 from repro.scenario import SweepAxis, load_scenario_file, sweep
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.report import sweep_table
 
 SWEEP_FILE = os.path.join(

@@ -16,7 +16,6 @@ into sweeps by dotted field path, and keys the replay memo.  This tour:
 Run:  python examples/scenario_tour.py      (~20 s, smoke-sized)
 """
 
-from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
 from repro.scenario import (
     ScenarioSpec,
@@ -27,6 +26,7 @@ from repro.scenario import (
     spec_to_toml,
     sweep,
 )
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.report import summarize_result, sweep_table
 
 #: smoke-sized base every step reuses (64 blocks, 1200 requests).

@@ -16,9 +16,10 @@ The package provides, from the bottom up:
   front end used for trace replay;
 * :mod:`repro.scenario` — the declarative experiment layer: one frozen
   :class:`~repro.scenario.spec.ScenarioSpec` to configure, serialize
-  (JSON/TOML), sweep (dotted field paths) and cache every run;
+  (JSON/TOML), sweep (dotted field paths) and cache every run, and the
+  memoizing :class:`~repro.scenario.memo.ReplayRunner` that runs them;
 * :mod:`repro.bench` — the harness regenerating every table and figure
-  of the paper's evaluation.
+  of the paper's evaluation, and nothing else.
 
 Quickstart::
 

@@ -1,13 +1,12 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-:mod:`repro.bench.memo` replays scenario specs with trace and result
-memoization; every figure and every scenario-file sweep runs through
-it, so no identical replay runs twice (Figs. 13 and 16 use the same
-runs, for example).  :mod:`repro.bench.figures` builds the specs of
-each paper artifact and renders paper-style reports.
+:mod:`repro.bench.figures` builds the specs of each paper artifact and
+renders paper-style reports; :mod:`repro.bench.reporting` runs and
+renders them in batches.  Every figure replays through one memoizing
+:class:`~repro.scenario.memo.ReplayRunner`, so no identical replay runs
+twice (Figs. 13 and 16 use the same runs, for example).
 """
 
-from repro.bench.memo import ReplayRunner
 from repro.bench.figures import (
     FULL_SCALE,
     SMOKE_SCALE,
@@ -27,7 +26,6 @@ __all__ = [
     "BenchScale",
     "FULL_SCALE",
     "SMOKE_SCALE",
-    "ReplayRunner",
     "FigureReport",
     "table1",
     "figure12",

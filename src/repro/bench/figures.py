@@ -9,7 +9,7 @@ and EXPERIMENTS.md render the same reports.
 
 Each figure point is a :class:`~repro.scenario.spec.ScenarioSpec`
 replayed under the conventional FTL and under PPB through a memoizing
-:class:`~repro.bench.memo.ReplayRunner`, because the figures share
+:class:`~repro.scenario.memo.ReplayRunner`, because the figures share
 underlying runs (Figs. 13 and 16 are the read and write views of the
 same eight simulations; Fig. 18 reuses them again for erase counts).
 
@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.charts import ascii_series
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.memo import ReplayRunner
 from repro.ftl.stats import FtlStats
 from repro.nand.latency import LatencyModel
 from repro.nand.spec import sim_spec, table1_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.bench.figures import FIGURES, FULL_SCALE, BenchScale, FigureReport
-from repro.bench.memo import ReplayRunner
+from repro.scenario.memo import ReplayRunner
 
 
 def run_figures(

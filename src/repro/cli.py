@@ -21,10 +21,6 @@ Subcommands
     through the memoized replay runner, from defaults or from a
     ``--spec`` file.  With only single-value ``--set`` flags it replays
     one workload on one FTL and prints the run summary.
-``perf``
-    Time the paper-figure replays (wall-clock, pages/sec), write the
-    ``BENCH_perf.json`` digest, and optionally gate against a committed
-    baseline — the CI perf-smoke regression guard.
 ``characterize``
     Print trace statistics for a synthetic workload (or an MSRC CSV).
 ``spec``
@@ -36,7 +32,10 @@ Subcommands
 
 The sweep subcommands take ``--workers N`` to fan their replay grids
 across worker processes (output is byte-identical to ``--workers 1``,
-memo line included; see :mod:`repro.bench.memo`).
+memo line included; see :mod:`repro.scenario.memo`).
+
+The simulator's own speed is measured outside the package, by
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -46,19 +45,10 @@ import dataclasses
 import sys
 
 from repro.bench.figures import FIGURES, FULL_SCALE, SMOKE_SCALE
-from repro.bench.memo import ReplayRunner
-from repro.bench.perf import (
-    DEFAULT_REPORT,
-    DEFAULT_TOLERANCE,
-    compare_to_baseline,
-    load_baseline,
-    perf_scale,
-    run_perf,
-    write_report,
-)
 from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
 from repro.nand.spec import table1_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.report import summarize_result, sweep_table
 from repro.scenario.serialize import ScenarioFile, load_scenario_file
 from repro.scenario.spec import ScenarioSpec
@@ -170,39 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the sweep grid (1 = in-process)",
-    )
-
-    perf = sub.add_parser(
-        "perf",
-        help="time the paper-figure replays and gate against a baseline",
-    )
-    perf.add_argument(
-        "--scale",
-        choices=["full", "smoke"],
-        default=None,
-        help="workload size (default: smoke when REPRO_BENCH_SMOKE=1, else full)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=2, help="repeats per case (best kept)"
-    )
-    perf.add_argument(
-        "--output",
-        default=DEFAULT_REPORT,
-        metavar="PATH",
-        help=f"where to write the JSON digest (default {DEFAULT_REPORT})",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="gate against this committed BENCH_perf.json",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="max fractional throughput regression before failing "
-        f"(default {DEFAULT_TOLERANCE})",
     )
 
     char = sub.add_parser("characterize", help="print trace statistics")
@@ -401,31 +358,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    try:
-        scale = perf_scale(None if args.scale is None else args.scale == "smoke")
-        report = run_perf(scale=scale, repeats=args.repeats)
-        write_report(report, args.output)
-        print(report.render())
-        print(f"wrote {args.output}")
-        if args.baseline:
-            failures = compare_to_baseline(
-                report, load_baseline(args.baseline), tolerance=args.tolerance
-            )
-            if failures:
-                for failure in failures:
-                    print(f"perf regression: {failure}", file=sys.stderr)
-                return 1
-            print(
-                f"within {args.tolerance * 100.0:.0f}% of baseline {args.baseline}"
-            )
-    except (ConfigError, OSError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError from a corrupt baseline.
-        print(f"repro-flash perf: error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     scale = FULL_SCALE if args.scale == "full" else SMOKE_SCALE
     ids = None if args.id == "all" else [args.id]
@@ -465,8 +397,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_scenario(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "characterize":
         return _cmd_characterize(args)
     if args.command == "spec":

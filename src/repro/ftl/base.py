@@ -281,11 +281,16 @@ class BaseFTL(ReliabilityHost):
         """Run GC until the free pool is above the low watermark.
 
         Returns the total GC latency incurred (the synchronous stall a
-        real device would impose on the triggering write).
+        real device would impose on the triggering write).  Raises
+        :class:`OutOfSpaceError` when collecting stops freeing blocks:
+        after one device's worth of collections without a new high in
+        the free pool, the loop gives up instead of spinning.
         """
         if self.blocks.free_count > self.gc_low_blocks:
             return 0.0
         total = 0.0
+        best_free = self.blocks.free_count
+        stalled = 0
         while self.blocks.free_count < self.gc_high_blocks:
             victim = self._select_victim()
             if victim is None:
@@ -301,6 +306,18 @@ class BaseFTL(ReliabilityHost):
             ):
                 break
             total += self._collect(victim)
+            if self.blocks.free_count > best_free:
+                best_free = self.blocks.free_count
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled > self.spec.total_blocks:
+                    raise OutOfSpaceError(
+                        f"{self.name}: garbage collection freed no block in "
+                        f"{stalled} collections (free pool stuck at "
+                        f"{self.blocks.free_count}); the FTL's open blocks leave "
+                        "too little over-provisioning"
+                    )
         if self.blocks.free_count == 0:
             raise OutOfSpaceError(
                 f"{self.name}: free pool empty and no GC victim available"

@@ -4,7 +4,7 @@ Rules shipped (see :mod:`repro.lint.rules` for the implementations):
 
 ======== ==============================================================
 DET001   no global-state / unseeded RNG (counter-based streams only)
-DET002   no wall-clock reads outside ``bench/perf.py``
+DET002   no wall-clock reads anywhere under ``src/repro``
 DET003   no ordering-sensitive consumption of unordered sets
 SPEC001  ScenarioSpec closure is frozen + round-trip serializable
 REG001   FTL registries (classes/factories/CLI/reliability) agree

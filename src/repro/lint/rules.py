@@ -171,23 +171,16 @@ _CLOCKS = frozenset(
     }
 )
 
-#: the one module allowed to read the host clock: the perf harness,
-#: whose whole job is timing the simulator from outside.
-_CLOCK_ALLOWED_SUFFIX = "bench/perf.py"
-
-
 class Det002WallClock(Rule):
     id = "DET002"
-    title = "no wall-clock reads in the simulator (bench/perf.py excepted)"
+    title = "no wall-clock reads in the simulator"
     rationale = (
         "Simulated time is the engine clock; a wall-clock read anywhere in "
-        "the model makes results machine- and load-dependent.  Only the perf "
-        "harness times the simulator from outside."
+        "the model makes results machine- and load-dependent.  The simulator "
+        "is timed from outside the package, by perfbench."
     )
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        if source.rel.endswith(_CLOCK_ALLOWED_SUFFIX):
-            return
         imports = _import_map(source.tree)
         for node in ast.walk(source.tree):
             dotted: str | None = None
@@ -199,8 +192,7 @@ class Det002WallClock(Rule):
                 yield self.finding(
                     source,
                     node.lineno,
-                    f"wall-clock read {dotted} — simulator code must use the "
-                    "engine clock (allowed only in bench/perf.py)",
+                    f"wall-clock read {dotted} — simulator code must use the engine clock",
                 )
 
 

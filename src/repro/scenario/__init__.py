@@ -8,7 +8,9 @@ shelf-age + re-read).  It round-trips losslessly through dicts and
 JSON/TOML files (:mod:`repro.scenario.serialize`), expands into sweeps
 by dotted field path (:mod:`repro.scenario.sweep`), executes through
 :mod:`repro.scenario.run`, and serves directly as the memoization cache
-key of :class:`repro.bench.memo.ReplayRunner`.
+key of :class:`~repro.scenario.memo.ReplayRunner`, which runs every
+replay of a figure, sweep or CLI call (in a worker pool with
+``workers > 1``).
 
 Quick tour::
 
@@ -22,7 +24,8 @@ Quick tour::
     specs = bundle.scenarios()          # the file's sweep cross-product
 """
 
-from repro.scenario.run import build_trace, execute_scenario, run_scenario, run_scenarios
+from repro.scenario.memo import ReplayRunner, run_scenario, run_scenarios
+from repro.scenario.run import build_trace, execute_scenario
 from repro.scenario.serialize import (
     ScenarioFile,
     load_scenario_file,
@@ -53,6 +56,7 @@ from repro.scenario.sweep import (
 )
 
 __all__ = [
+    "ReplayRunner",
     "ScenarioSpec",
     "TenantSpec",
     "PreconditionPhase",

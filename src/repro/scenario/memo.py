@@ -13,7 +13,9 @@ two requests collide exactly when they describe the same simulation.
 :class:`ReplayRunner` executes specs on demand, caches traces by
 :meth:`ScenarioSpec.trace_key` and results by the memo key, and counts
 hits and misses so a sweep report can *prove* no identical replay ran
-twice.
+twice.  :func:`run_scenario` and :func:`run_scenarios` are the
+one-call front ends: they run through a given runner, or a fresh
+single-use one.
 
 Parallel execution
 ------------------
@@ -37,15 +39,17 @@ shuts its pool down too.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.scenario.run import build_trace, execute_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.ssd import RunResult
 from repro.traces.record import Trace
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -115,6 +119,9 @@ class ReplayRunner:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here: the pool loads multiprocessing and logging, unused in-process.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
@@ -198,3 +205,24 @@ class ReplayRunner:
         spec_list = list(specs)
         self._prefetch(spec_list)
         return [self.run(spec) for spec in spec_list]
+
+
+def run_scenario(spec: ScenarioSpec, runner: ReplayRunner | None = None) -> RunResult:
+    """Run one scenario through the (memoized) replay runner.
+
+    Pass a shared :class:`ReplayRunner` to memoize traces and results
+    across calls — identical specs never replay twice; without one a
+    fresh single-use runner executes the spec.
+    """
+    if runner is None:
+        runner = ReplayRunner()
+    return runner.run(spec)
+
+
+def run_scenarios(
+    specs: Sequence[ScenarioSpec], runner: ReplayRunner | None = None
+) -> list[RunResult]:
+    """Run a batch of scenarios (parallel when the runner has workers)."""
+    if runner is None:
+        runner = ReplayRunner()
+    return runner.run_many(specs)

@@ -14,7 +14,7 @@ share of it refresh recovered) are left to the reader.
 from __future__ import annotations
 
 from repro.analysis.tables import ascii_table, format_pct
-from repro.bench.memo import ReplayMemoStats
+from repro.scenario.memo import ReplayMemoStats
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import SweepAxis, axis_values
 from repro.sim.ssd import RunResult

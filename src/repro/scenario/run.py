@@ -1,29 +1,29 @@
 """Scenario execution: build device + FTL + SSD, fill, age, replay.
 
 This is the one code path every experiment funnels through:
-:func:`execute_scenario` replays a prebuilt trace, and
-:func:`run_scenario` — what the memoized
-:class:`~repro.bench.memo.ReplayRunner`, the sweeps and the CLI use —
-adds trace construction and result memoization keyed on the
+:func:`build_trace` generates the request stream and
+:func:`execute_scenario` replays it on a fresh device.  The memoized
+:class:`~repro.scenario.memo.ReplayRunner` — what
+:func:`~repro.scenario.memo.run_scenario`, the sweeps and the CLI use —
+calls both, caching traces and results keyed on the
 :class:`~repro.scenario.spec.ScenarioSpec` itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Sequence
 
+from repro.errors import ConfigError
 from repro.ftl.base import BaseFTL
 from repro.nand.device import NandDevice
 from repro.reliability.manager import ReliabilityManager
 from repro.reliability.refresh import RefreshPolicy
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec
+from repro.sim.replay import make_ftl
 from repro.sim.ssd import SSD, RunResult
+from repro.traces.msr import read_msr_csv
 from repro.traces.record import IORequest, Trace
 from repro.traces.workloads import WORKLOADS, SyntheticWorkload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bench.memo import ReplayRunner
 
 
 def _make_generator(
@@ -45,8 +45,6 @@ def _make_generator(
     except TypeError as exc:
         # A misspelled workload_kwargs key is a config mistake, not a
         # programming error: name it like every other bad dotted path.
-        from repro.errors import ConfigError
-
         raise ConfigError(
             f"{owner} not accepted by workload {workload!r}: {exc}"
         ) from None
@@ -66,8 +64,6 @@ def build_trace(spec: ScenarioSpec) -> Trace:
     merge by timestamp into one interleaved trace.
     """
     if spec.trace_path is not None:
-        from repro.traces.msr import read_msr_csv
-
         return read_msr_csv(spec.trace_path)
     if spec.tenants:
         return _build_tenant_trace(spec)
@@ -134,8 +130,6 @@ def execute_scenario(spec: ScenarioSpec, trace: Trace) -> RunResult:
     costs once its data has rotted, because simulated time advances only
     by operation latencies.
     """
-    from repro.sim.replay import make_ftl  # deferred: replay imports us
-
     device = NandDevice(spec.device)
     manager = (
         ReliabilityManager(device, spec.reliability, faults=spec.faults)
@@ -220,27 +214,3 @@ def _reread_aged(
     reread.extra["reread.retry_us"] = rel.retry_us - retry_us_before
     return reread
 
-
-def run_scenario(spec: ScenarioSpec, runner: "ReplayRunner | None" = None) -> RunResult:
-    """Run one scenario through the (memoized) replay runner.
-
-    Pass a shared :class:`~repro.bench.memo.ReplayRunner` to memoize
-    traces and results across calls — identical specs never replay
-    twice; without one a fresh single-use runner executes the spec.
-    """
-    if runner is None:
-        from repro.bench.memo import ReplayRunner
-
-        runner = ReplayRunner()
-    return runner.run(spec)
-
-
-def run_scenarios(
-    specs: Sequence[ScenarioSpec], runner: "ReplayRunner | None" = None
-) -> list[RunResult]:
-    """Run a batch of scenarios (parallel when the runner has workers)."""
-    if runner is None:
-        from repro.bench.memo import ReplayRunner
-
-        runner = ReplayRunner()
-    return runner.run_many(specs)

@@ -9,7 +9,7 @@ Design rules
 ------------
 * **Frozen and hashable** — a spec is a value, so it serves (via
   :meth:`ScenarioSpec.memo_key`) as the memoization cache key of
-  :class:`~repro.bench.memo.ReplayRunner` and pickles across the worker
+  :class:`~repro.scenario.memo.ReplayRunner` and pickles across the worker
   pool unchanged.
 * **Total** — every knob the simulator honours appears here; nothing
   about a run is implied by the call site.

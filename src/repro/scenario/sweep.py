@@ -16,7 +16,7 @@ and the values to try::
 :func:`sweep` expands a base spec and axes into the cross-product (first
 axis outermost, values in the order given), each element a frozen
 :class:`ScenarioSpec` ready for the memoized
-:class:`~repro.bench.memo.ReplayRunner`.  Setting a path under ``ppb``
+:class:`~repro.scenario.memo.ReplayRunner`.  Setting a path under ``ppb``
 or ``reliability`` on a spec where that section is ``None``
 instantiates the section's defaults first, so
 ``--set reliability.base_rber=2e-4`` alone turns the stack on.

@@ -1,9 +1,15 @@
 """Tests for the conventional page-mapping baseline, including the
 dict-model oracle that proves GC never loses or stales data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import MappingError
 from repro.ftl.conventional import ConventionalFTL
 from repro.nand.device import NandDevice
@@ -203,3 +209,46 @@ class TestPlaneStriping:
         for lpn, seq in oracle.items():
             ppn = ftl.map.ppn_of(lpn)
             assert ftl.device.tag(ppn) == (lpn, seq), f"stale data for lpn {lpn}"
+
+
+#: 16 host append points (4 chips x 4 planes) on a 64-block device leave
+#: GC nothing to gain: at one free block every victim is fully valid, and
+#: collecting one frees exactly the block its copies use.
+STARVED_GC_SCRIPT = """
+import sys
+
+from repro.errors import ConfigError, OutOfSpaceError
+from repro.nand.spec import sim_spec
+from repro.scenario import ScenarioSpec, run_scenario
+
+spec = ScenarioSpec(
+    workload="web-sql",
+    num_requests=200,
+    seed=0,
+    mode=sys.argv[1],
+    device=sim_spec(blocks_per_chip=16, num_chips=4, num_channels=2, planes_per_chip=4),
+)
+try:
+    run_scenario(spec)
+except (ConfigError, OutOfSpaceError) as exc:
+    print(type(exc).__name__)
+else:
+    print("completed")
+"""
+
+
+class TestGcTermination:
+    @pytest.mark.parametrize("mode", ["sequential", "timed"])
+    def test_starved_gc_raises_instead_of_spinning(self, mode):
+        """The collection loop must make net progress or give up."""
+        paths = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", STARVED_GC_SCRIPT, mode],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() in ("OutOfSpaceError", "ConfigError")

@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 import os
 
-from repro.bench.memo import ReplayRunner
 from repro.ftl.transmap import MappingConfig
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
 from repro.sim.arrival import ArrivalSpec
 

@@ -23,8 +23,8 @@ import os
 
 from repro import quick_comparison
 from repro.bench.figures import BenchScale
-from repro.bench.memo import ReplayRunner
 from repro.bench.reporting import render_reports, run_figures
+from repro.scenario.memo import ReplayRunner
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -78,10 +78,10 @@ class TestDet002:
         code = "from datetime import datetime\nstamp = datetime.now()\n"
         assert "DET002" in rule_ids(lint_snippet(tmp_path, code))
 
-    def test_bench_perf_is_allowlisted(self, tmp_path):
+    def test_bench_perf_is_not_exempt(self, tmp_path):
         code = "import time\nt = time.perf_counter()\n"
         report = lint_snippet(tmp_path, code, name="bench/perf.py")
-        assert report.findings == []
+        assert rule_ids(report) == ["DET002"]
 
 
 class TestDet003:

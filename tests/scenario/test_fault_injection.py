@@ -18,12 +18,11 @@ import dataclasses
 
 import pytest
 
-from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
 from repro.reliability.faults import FaultSpec
 from repro.reliability.manager import ReliabilityConfig
-from repro.scenario.run import run_scenario
+from repro.scenario.memo import ReplayRunner, run_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import SweepAxis, sweep
 from repro.sim.arrival import ArrivalSpec

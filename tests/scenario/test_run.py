@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.bench.memo import ReplayRunner
 from repro.core.config import PPBConfig
 from repro.nand.spec import sim_spec
 from repro.reliability.manager import ReliabilityConfig
-from repro.scenario.run import build_trace, execute_scenario, run_scenario, run_scenarios
+from repro.scenario.memo import ReplayRunner, run_scenario, run_scenarios
+from repro.scenario.run import build_trace, execute_scenario
 from repro.scenario.spec import ScenarioSpec
 
 #: one tiny scenario shared by the module (the expensive part).

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
-from repro.scenario.run import build_trace, run_scenario
+from repro.scenario.memo import run_scenario
+from repro.scenario.run import build_trace
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
 from repro.scenario.sweep import SweepAxis, sweep
 from repro.sim.arrival import ArrivalSpec

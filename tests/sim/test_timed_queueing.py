@@ -14,11 +14,11 @@ These tests pin the tentpole claims of the multi-chip DES model:
 
 import pytest
 
-from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
 from repro.ftl.conventional import ConventionalFTL
 from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec, tiny_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.arrival import ArrivalSpec
 from repro.sim.ssd import SSD

@@ -11,8 +11,8 @@ import copy
 import os
 from typing import NamedTuple
 
-from repro.bench.memo import ReplayMemoStats, ReplayRunner
 from repro.cli import _apply_sets, _apply_smoke
+from repro.scenario.memo import ReplayMemoStats, ReplayRunner
 from repro.scenario.report import sweep_table
 from repro.scenario.serialize import load_scenario_file
 from repro.scenario.spec import ScenarioSpec

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.bench.figures import FigureReport, table1
-from repro.bench.memo import ReplayRunner
 from repro.bench.reporting import render_reports, run_figures
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 
 TINY = ScenarioSpec(

@@ -121,7 +121,7 @@ class TestReliability:
         assert "4 replays run" in out
 
     def test_sweep_files_replace_the_subcommands(self, capsys):
-        for command in ("reliability", "placement"):
+        for command in ("reliability", "placement", "perf"):
             with pytest.raises(SystemExit) as exit_info:
                 main([command])
             assert exit_info.value.code == 2

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.memo import ReplayRunner
 from repro.nand.spec import sim_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 
 #: miniature scale so the whole module runs in seconds.

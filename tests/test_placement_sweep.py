@@ -9,9 +9,9 @@ reliability side.
 import pytest
 
 from repro.analysis.tables import format_pct
-from repro.bench.memo import ReplayRunner
 from repro.errors import ConfigError
 from repro.nand.spec import sim_spec
+from repro.scenario.memo import ReplayRunner
 from repro.scenario.spec import ScenarioSpec
 from tests.sweep_files import run_grid, smoke_grid
 
