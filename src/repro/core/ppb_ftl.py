@@ -43,6 +43,7 @@ from repro.errors import VirtualBlockError
 from repro.ftl.base import BaseFTL, WriteContext
 from repro.ftl.gc import VictimPolicy
 from repro.nand.device import NandDevice
+from repro.nand.spec import NandSpec
 
 
 class PPBFTL(BaseFTL):
@@ -238,6 +239,11 @@ class PPBFTL(BaseFTL):
         if area is not None:
             return self.allocators[area]
         raise VirtualBlockError(f"block {pbn} is not owned by any allocator")
+
+    @classmethod
+    def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
+        # Two areas x two speed classes; GC relocates through them too.
+        return {"area blocks": 4, **super().open_blocks(spec)}
 
     def _active_blocks(self) -> set[int]:
         active: set[int] = set()

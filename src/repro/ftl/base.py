@@ -41,6 +41,7 @@ from repro.ftl.mapping import UNMAPPED, PageMapTable
 from repro.ftl.reliability_hooks import ReliabilityHost
 from repro.ftl.stats import FtlStats
 from repro.nand.device import NandDevice
+from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # imported lazily to keep repro.ftl free of cycles
     from repro.reliability.manager import ReliabilityManager
@@ -132,6 +133,18 @@ class BaseFTL(ReliabilityHost):
             device.chips[0].write_ptr if self.spec.num_chips == 1 else None
         )
 
+    @classmethod
+    def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
+        """Blocks this design holds out of the free pool on ``spec``,
+        by role: its open append points plus the GC reserve, the free
+        block a collection copies into.
+
+        With fewer spare blocks than that, every GC victim can be fully
+        valid, so :class:`~repro.scenario.spec.ScenarioSpec` rejects
+        such a scenario when it is built.
+        """
+        return {"GC reserve": 1}
+
     # ------------------------------------------------------------------
     # Host API
     # ------------------------------------------------------------------
@@ -187,7 +200,7 @@ class BaseFTL(ReliabilityHost):
         if ctx is None:
             ctx = self._host_ctx_cache[nbytes] = WriteContext(nbytes=nbytes, is_gc=False)
         ppn = self._alloc_ppn(lpn, ctx)
-        latency = self.device.program_ppn(ppn, tag=(lpn, self._op_sequence))
+        latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         # Inlined _commit_mapping + _note_if_full (this is the hottest
         # loop of every replay; keep the two helpers in sync).
         pbn = ppn // self._ppb

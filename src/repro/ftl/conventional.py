@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 from repro.ftl.base import BaseFTL, WriteContext
 from repro.ftl.gc import VictimPolicy
 from repro.nand.device import NandDevice
+from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.reliability.manager import ReliabilityManager
@@ -73,6 +74,17 @@ class ConventionalFTL(BaseFTL):
             self._host_cursor = 0
         else:
             self._host_slots = None
+
+    @classmethod
+    def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
+        if spec.planes_per_chip == 1:
+            # One active block that host writes and GC copies share.
+            return {"append point": 1, **super().open_blocks(spec)}
+        return {
+            "host append points": spec.num_chips * spec.planes_per_chip,
+            "GC point": 1,
+            **super().open_blocks(spec),
+        }
 
     # ------------------------------------------------------------------
     # Placement: next free page of the stream's active block

@@ -56,10 +56,23 @@ from repro.ftl.transmap import (
     MappingConfig,
 )
 from repro.nand.device import NandDevice
+from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.reliability.manager import ReliabilityManager
     from repro.reliability.refresh import RefreshPolicy
+
+
+def translation_lpn(n: int) -> int:
+    """Map a translation page's TVPN to the lpn its page tag carries,
+    and back: ``-1 - n`` (``~n``), its own inverse.
+
+    Data pages are tagged with their lpn (>= 0), so a translation
+    page's tag ``(translation_lpn(tvpn), version)`` can never be
+    mistaken for one; ``translation_lpn(lpn)`` of such a tag's lpn
+    recovers the TVPN.
+    """
+    return ~n
 
 
 class DFTL(ConventionalFTL):
@@ -246,7 +259,9 @@ class DFTL(ConventionalFTL):
         # nested flush layers its newer PPNs on top and the program
         # below persists the merged result.
         dst, stall_us = self._alloc_trans_ppn()
-        write_us = self.device.program_ppn(dst, tag=("trans", tvpn, self._op_sequence))
+        write_us = self.device.program_ppn(
+            dst, translation_lpn(tvpn), self._op_sequence
+        )
         pbn = dst // self._ppb
         self.blocks.note_program_valid(pbn)
         self._reliability_note_program(pbn)
@@ -275,6 +290,10 @@ class DFTL(ConventionalFTL):
     # ------------------------------------------------------------------
     # Active blocks / GC dispatch
     # ------------------------------------------------------------------
+
+    @classmethod
+    def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
+        return {**super().open_blocks(spec), "translation point": 1}
 
     def _active_blocks(self) -> set[int]:
         active = super()._active_blocks()

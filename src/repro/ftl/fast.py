@@ -45,6 +45,7 @@ from repro.ftl.mapping import UNMAPPED, PageMapTable
 from repro.ftl.reliability_hooks import ReliabilityHost
 from repro.ftl.stats import FtlStats
 from repro.nand.device import NandDevice
+from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # imported lazily to keep repro.ftl free of cycles
     from repro.reliability.manager import ReliabilityManager
@@ -91,8 +92,7 @@ class FastFTL(ReliabilityHost):
         )
         self.stats = FtlStats()
         if num_log_blocks is None:
-            spare = self.spec.total_blocks - self.num_lbns
-            num_log_blocks = max(4, spare // 2)
+            num_log_blocks = self.default_log_blocks(self.spec)
         self.num_log_blocks = num_log_blocks
         #: LBN -> data block PBN (or -1).
         self._data_block: dict[int, int] = {}
@@ -102,6 +102,23 @@ class FastFTL(ReliabilityHost):
         #: (pbn, lbn) of the sequential log block, if one is open.
         self._seq_log: tuple[int, int] | None = None
         self._op_sequence = 0
+
+    @staticmethod
+    def default_log_blocks(spec: NandSpec) -> int:
+        """Random log blocks, unless the caller sets them: half the
+        blocks no logical block needs, and at least four."""
+        lbns = -(-spec.logical_pages // spec.pages_per_block)
+        return max(4, (spec.total_blocks - lbns) // 2)
+
+    @classmethod
+    def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
+        """Blocks held out of the free pool, by role (see
+        :meth:`repro.ftl.base.BaseFTL.open_blocks`)."""
+        return {
+            "log blocks": cls.default_log_blocks(spec),
+            "sequential log": 1,
+            "GC reserve": 1,
+        }
 
     # ------------------------------------------------------------------
     # Host API (same protocol as BaseFTL)
@@ -202,7 +219,7 @@ class FastFTL(ReliabilityHost):
             raise FtlError("sequential append without an open sequential log")
         pbn, lbn = self._seq_log
         ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
-        latency = self.device.program_ppn(ppn, tag=(lpn, self._op_sequence))
+        latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         self._commit(lpn, ppn)
         if self.device.is_block_full(pbn):
             self._switch_merge()
@@ -269,7 +286,7 @@ class FastFTL(ReliabilityHost):
                 merge_latency += self._merge_oldest_log()
             pbn = self._active_log = self._allocate_block()
         ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
-        latency = self.device.program_ppn(ppn, tag=(lpn, self._op_sequence))
+        latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         self._commit(lpn, ppn)
         return merge_latency, latency
 

@@ -14,15 +14,22 @@ programmable; a programmed bitmap records which pages actually hold
 data (they differ only when an FTL deliberately skips pages, as FAST's
 merge path does for never-written logical pages).
 
-The chip can also store an opaque *tag* per programmed page.  The FTL
-uses this to carry the logical page number + a version token, which the
-test suite checks against an oracle to prove no data is ever lost or
-stale-served across GC.
+The chip can also store a *tag* per programmed page: an ``(lpn,
+version)`` pair of ints standing in for the page's contents.  The FTLs
+tag every program with the logical page number and their op clock, and
+the test suite checks tags against an oracle to prove no data is ever
+lost or stale-served across GC.  DFTL's translation pages carry a
+negative lpn (:func:`repro.ftl.dftl.translation_lpn`).
+
+Page state costs memory only where pages are programmed: blocks with
+nothing programmed since their last erase share one immutable all-zero
+bitmap, and a block's tags live in one ``array('q')`` allocated at its
+first tagged program and dropped at erase.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from array import array
 
 from repro.errors import (
     AddressError,
@@ -32,6 +39,9 @@ from repro.errors import (
 from repro.nand.latency import LatencyModel
 from repro.nand.spec import NandSpec
 from repro.nand.stats import EraseHistogram, NandStats
+
+#: the lpn slot of a page programmed without a tag.
+_UNTAGGED = -(1 << 63)
 
 
 class NandChip:
@@ -54,14 +64,20 @@ class NandChip:
         #: lowest page index still programmable, per block; == pages_per_block
         #: means no page of the block can be programmed until erase.
         self.write_ptr: list[int] = [0] * spec.blocks_per_chip
-        #: which pages hold data (nonzero between program and erase).
-        self.programmed: list[bytearray] = [
-            bytearray(spec.pages_per_block) for _ in range(spec.blocks_per_chip)
-        ]
+        #: the bitmap every block with nothing programmed shares: a
+        #: ``bytes``, so a stray write raises instead of marking every
+        #: blank block at once.
+        self._blank: bytearray = bytes(spec.pages_per_block)  # type: ignore[assignment]
+        #: which pages hold data (nonzero between program and erase);
+        #: ``_blank`` until the block's first program after an erase.
+        self.programmed: list[bytearray] = [self._blank] * spec.blocks_per_chip
         #: lifetime erase count per block.
         self.erase_counts: list[int] = [0] * spec.blocks_per_chip
-        #: opaque per-page tags: block -> {page: tag}; populated lazily.
-        self._tags: dict[int, dict[int, Any]] = {}
+        #: per-block tags, ``None`` until the block's first tagged
+        #: program: page ``p``'s lpn at ``2p`` (``_UNTAGGED`` if it has
+        #: none) and its version at ``2p + 1``.
+        self._tags: list[array | None] = [None] * spec.blocks_per_chip
+        self._untagged = array("q", (_UNTAGGED, 0)) * spec.pages_per_block
         self.stats = NandStats()
         self.erase_histogram = EraseHistogram()
         # Hot-path views of the latency tables (see LatencyModel).
@@ -111,15 +127,32 @@ class NandChip:
         stats.read_us += latency
         return latency
 
+    def _mark(self, block: int, page: int) -> None:
+        """Record a program of ``page`` (its address already checked)."""
+        self.write_ptr[block] = page + 1
+        bitmap = self.programmed[block]
+        if bitmap is self._blank:
+            bitmap = self.programmed[block] = bytearray(self._num_pages)
+        bitmap[page] = 1
+
+    def _store_tag(self, block: int, page: int, lpn: int, version: int) -> None:
+        tags = self._tags[block]
+        if tags is None:
+            tags = self._tags[block] = self._untagged[:]
+        tags[2 * page] = lpn
+        tags[2 * page + 1] = version
+
     def program(
         self,
         block: int,
         page: int,
-        tag: Any = None,
+        lpn: int | None = None,
+        version: int = 0,
         include_transfer: bool = True,
     ) -> float:
         """Program one page; returns the latency in microseconds.
 
+        With ``lpn`` given, the page is tagged ``(lpn, version)``.
         Raises :class:`ProgramOrderError` unless ``page`` is at or after
         the block's write pointer (ascending order; this single check
         also covers erase-before-write, since every page behind the
@@ -136,13 +169,19 @@ class NandChip:
                 f"chip {self.chip_id}: non-ascending program of block {block}: "
                 f"got page {page}, write pointer at {expected}"
             )
+        # _mark and _store_tag, inlined: this is every host write's program.
         self.write_ptr[block] = page + 1
-        self.programmed[block][page] = 1
-        if tag is not None:
-            tags = self._tags.get(block)
+        bitmap = self.programmed[block]
+        if bitmap is self._blank:
+            bitmap = self.programmed[block] = bytearray(self._num_pages)
+        bitmap[page] = 1
+        if lpn is not None:
+            tags = self._tags[block]
             if tags is None:
-                tags = self._tags[block] = {}
-            tags[page] = tag
+                tags = self._tags[block] = self._untagged[:]
+            slot = 2 * page
+            tags[slot] = lpn
+            tags[slot + 1] = version
         latency = (
             self._program_total_us[page]
             if include_transfer
@@ -159,7 +198,8 @@ class NandChip:
         """Internal read + program relocating one page within this chip.
 
         Equivalent to ``read(src, include_transfer=False)`` followed by
-        ``program(dst, tag=tag(src), include_transfer=False)`` — same
+        ``program(dst, lpn, version, include_transfer=False)`` with the
+        source page's tag (untagged if it had none) — same
         checks, same stats, same latencies — fused into one call because
         GC/merge relocation is the hottest multi-command sequence a
         replay issues.  Returns ``(read_us, program_us)``.
@@ -184,12 +224,12 @@ class NandChip:
                 f"got page {dst_page}, write pointer at {expected}"
             )
         read_us = self._read_array_us[src_page]
-        src_tags = self._tags.get(src_block)
-        tag = src_tags.get(src_page) if src_tags is not None else None
-        self.write_ptr[dst_block] = dst_page + 1
-        self.programmed[dst_block][dst_page] = 1
-        if tag is not None:
-            self._tags.setdefault(dst_block, {})[dst_page] = tag
+        self._mark(dst_block, dst_page)
+        src_tags = self._tags[src_block]
+        if src_tags is not None and src_tags[2 * src_page] != _UNTAGGED:
+            self._store_tag(
+                dst_block, dst_page, src_tags[2 * src_page], src_tags[2 * src_page + 1]
+            )
         program_us = self._program_array_us[dst_page]
         stats = self.stats
         stats.reads += 1
@@ -201,14 +241,18 @@ class NandChip:
     def erase(self, block: int) -> float:
         """Erase a block; returns the latency in microseconds."""
         self._check_block(block)
-        self.write_ptr[block] = 0
-        self.programmed[block] = bytearray(self._num_pages)
-        self.erase_counts[block] += 1
-        self._tags.pop(block, None)
+        self._reset(block)
         latency = self.latency.erase_us()
         self.stats.record_erase(latency)
-        self.erase_histogram.record(block)
         return latency
+
+    def _reset(self, block: int) -> None:
+        """Erase ``block``'s state: pointer, bitmap, tags; count the wear."""
+        self.write_ptr[block] = 0
+        self.programmed[block] = self._blank
+        self._tags[block] = None
+        self.erase_counts[block] += 1
+        self.erase_histogram.record(block)
 
     def _check_sibling_planes(self, blocks: "list[int]", op: str) -> None:
         """Fused commands must address one block per distinct plane."""
@@ -231,10 +275,13 @@ class NandChip:
         self,
         blocks: "list[int]",
         page: int,
-        tags: "list[Any] | None" = None,
+        tags: "list[tuple[int, int]] | None" = None,
         include_transfer: bool = True,
     ) -> float:
         """Multi-plane program: one page per sibling plane, fused.
+
+        ``tags``, when given, holds each plane's ``(lpn, version)`` in
+        ``blocks`` order.
 
         All planes program the *same* page index (the multi-plane
         addressing rule real chips enforce) and share one array time;
@@ -254,11 +301,9 @@ class NandChip:
                     f"{block}: got page {page}, write pointer at {expected}"
                 )
         for index, block in enumerate(blocks):
-            self.write_ptr[block] = page + 1
-            self.programmed[block][page] = 1
-            tag = tags[index] if tags is not None else None
-            if tag is not None:
-                self._tags.setdefault(block, {})[page] = tag
+            self._mark(block, page)
+            if tags is not None:
+                self._store_tag(block, page, *tags[index])
         array_us = self._program_array_us[page]
         latency = array_us
         if include_transfer:
@@ -278,11 +323,7 @@ class NandChip:
         """
         self._check_sibling_planes(blocks, "multi-plane erase")
         for block in blocks:
-            self.write_ptr[block] = 0
-            self.programmed[block] = bytearray(self._num_pages)
-            self.erase_counts[block] += 1
-            self._tags.pop(block, None)
-            self.erase_histogram.record(block)
+            self._reset(block)
         latency = self.latency.erase_us()
         self.stats.record_erase(latency)
         self.stats.erases += len(blocks) - 1
@@ -310,14 +351,17 @@ class NandChip:
             self._check_block(block)
         return self.write_ptr[block]
 
-    def tag(self, block: int, page: int) -> Any:
-        """Tag stored when the page was programmed (None if untagged)."""
+    def tag(self, block: int, page: int) -> tuple[int, int] | None:
+        """``(lpn, version)`` stored when the page was programmed (None
+        if it was programmed untagged, or not since the last erase)."""
         if not 0 <= block < self._num_blocks:
             self._check_block(block)
         if not 0 <= page < self._num_pages:
             self._check_page(page)
-        tags = self._tags.get(block)
-        return tags.get(page) if tags is not None else None
+        tags = self._tags[block]
+        if tags is None or tags[2 * page] == _UNTAGGED:
+            return None
+        return tags[2 * page], tags[2 * page + 1]
 
     def erase_count(self, block: int) -> int:
         """Lifetime erase count of the block."""

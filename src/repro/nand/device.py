@@ -25,8 +25,6 @@ the per-command cost is a single ``is not None`` check.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import AddressError
 from repro.nand.chip import NandChip
 from repro.nand.geometry import Geometry
@@ -154,8 +152,18 @@ class NandDevice:
             )
         return self.chips[chip].read(block, page, include_transfer=include_transfer)
 
-    def program_ppn(self, ppn: int, tag: Any = None, include_transfer: bool = True) -> float:
-        """Program the page at flat address ``ppn``; returns latency (us)."""
+    def program_ppn(
+        self,
+        ppn: int,
+        lpn: int | None = None,
+        version: int = 0,
+        include_transfer: bool = True,
+    ) -> float:
+        """Program the page at flat address ``ppn``; returns latency (us).
+
+        With ``lpn`` given, the page is tagged ``(lpn, version)`` (see
+        :meth:`tag`).
+        """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         pbn, page = divmod(ppn, self._pages_per_block)
@@ -170,7 +178,7 @@ class NandDevice:
                     self._page_transfer_us if include_transfer else 0.0,
                 )
             )
-        return self.chips[chip].program(block, page, tag=tag, include_transfer=include_transfer)
+        return self.chips[chip].program(block, page, lpn, version, include_transfer)
 
     def copy_page(self, src_ppn: int, dst_ppn: int) -> tuple[float, float]:
         """Copyback relocation: internal read of ``src_ppn`` + program of
@@ -195,8 +203,9 @@ class NandDevice:
         else:
             read_us = self.chips[src_chip].read(src_block, src_page, include_transfer=False)
             tag = self.chips[src_chip].tag(src_block, src_page)
+            lpn, version = tag if tag is not None else (None, 0)
             program_us = self.chips[dst_chip].program(
-                dst_block, dst_page, tag=tag, include_transfer=False
+                dst_block, dst_page, lpn, version, include_transfer=False
             )
             result = (read_us, program_us)
         log = self.oplog
@@ -235,10 +244,13 @@ class NandDevice:
     def program_multi_ppn(
         self,
         ppns: "list[int]",
-        tags: "list[Any] | None" = None,
+        tags: "list[tuple[int, int]] | None" = None,
         include_transfer: bool = True,
     ) -> float:
         """Multi-plane program: same page index on sibling-plane blocks.
+
+        ``tags``, when given, holds each page's ``(lpn, version)`` in
+        ``ppns`` order.
 
         The planes share one array time while the page-register loads
         (transfers) serialize; returns — and the op log bills per plane —
@@ -310,8 +322,9 @@ class NandDevice:
         chip, block = divmod(pbn, self._blocks_per_chip)
         return self.chips[chip].next_page(block)
 
-    def tag(self, ppn: int) -> Any:
-        """Tag stored at ``ppn`` when it was programmed."""
+    def tag(self, ppn: int) -> tuple[int, int] | None:
+        """``(lpn, version)`` stored at ``ppn`` when it was programmed
+        (None if it was programmed untagged)."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         pbn, page = divmod(ppn, self._pages_per_block)

@@ -12,6 +12,11 @@ calls both, caching traces and results keyed on the
 from __future__ import annotations
 
 import heapq
+from array import array
+from itertools import repeat
+from operator import itemgetter
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.ftl.base import BaseFTL
@@ -22,7 +27,7 @@ from repro.scenario.spec import PreconditionPhase, ScenarioSpec
 from repro.sim.replay import make_ftl
 from repro.sim.ssd import SSD, RunResult
 from repro.traces.msr import read_msr_csv
-from repro.traces.record import IORequest, Trace
+from repro.traces.record import Trace
 from repro.traces.workloads import WORKLOADS, SyntheticWorkload
 
 
@@ -81,10 +86,11 @@ def _build_tenant_trace(spec: ScenarioSpec) -> Trace:
     (so its pattern spans exactly its slice of the volume) with its own
     seed, then its offsets shift to the partition start.  A heap merge
     on timestamps interleaves the streams, modeling independent clients
-    sharing one device.
+    sharing one device.  The merge orders row indices only (ties go to
+    the earlier tenant), and the columns are gathered once.
     """
     partitions = spec.tenant_partitions()
-    streams: list[list[IORequest]] = []
+    streams: list[Trace] = []
     for index, tenant in enumerate(spec.tenants):
         name, start, size = partitions[index]
         generator = _make_generator(
@@ -92,11 +98,31 @@ def _build_tenant_trace(spec: ScenarioSpec) -> Trace:
             spec.tenant_seed(index),
             tenant.workload_kwargs, f"tenants[{name!r}].workload_kwargs",
         )
-        streams.append(
-            [r.shifted(start) for r in generator.generate().requests]
-        )
-    merged = list(heapq.merge(*streams, key=lambda r: r.timestamp_us))
-    return Trace(merged, name=f"tenants-s{spec.seed}")
+        streams.append(generator.generate())
+    # Merge (timestamp, tenant) pairs, then turn each tenant's running
+    # count into a row of the concatenated columns.
+    row = np.cumsum([0] + [len(stream) for stream in streams]).tolist()
+    order: list[int] = []
+    for _, index in heapq.merge(
+        *(zip(stream.timestamps_us, repeat(i)) for i, stream in enumerate(streams)),
+        key=itemgetter(0),
+    ):
+        order.append(row[index])
+        row[index] += 1
+
+    def gather(column: str, dtype: type, shifts: list[int] | None = None) -> bytes:
+        parts = [np.frombuffer(getattr(stream, column), dtype=dtype) for stream in streams]
+        if shifts is not None:
+            parts = [part + shift for part, shift in zip(parts, shifts)]
+        return np.concatenate(parts)[order].tobytes()
+
+    return Trace.from_columns(
+        bytearray(gather("ops", np.uint8)),
+        array("q", gather("offsets", np.int64, [start for _, start, _ in partitions])),
+        array("q", gather("sizes", np.int64)),
+        array("d", gather("timestamps_us", np.float64)),
+        name=f"tenants-s{spec.seed}",
+    )
 
 
 def execute_scenario(spec: ScenarioSpec, trace: Trace) -> RunResult:

@@ -26,6 +26,7 @@ Design rules
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.config import PPBConfig
@@ -282,7 +283,7 @@ class ScenarioSpec:
                     f"precondition entries must be PreconditionPhase, got {phase!r}"
                 )
         object.__setattr__(self, "precondition", phases)
-        from repro.sim.replay import FTL_FACTORIES  # deferred: avoids import cycle
+        from repro.sim.replay import FTL_CLASSES, FTL_FACTORIES  # deferred: import cycle
 
         if self.ftl not in FTL_FACTORIES:
             raise ConfigError(
@@ -323,6 +324,7 @@ class ScenarioSpec:
                 'arrival.mode = "closed" requires mode = "timed" '
                 "(sequential replays have no arrival process)"
             )
+        self._check_gc_headroom(FTL_CLASSES[self.ftl].open_blocks)
         if self.reread_age_s > 0 and self.reliability is None:
             raise ConfigError("reread_age_s requires the reliability stack")
         if (
@@ -331,6 +333,43 @@ class ScenarioSpec:
             and self.reliability is None
         ):
             raise ConfigError("faults.rate > 0 requires the reliability stack")
+
+    def _check_gc_headroom(self, open_blocks: Callable[[NandSpec], dict[str, int]]) -> None:
+        """Reject a device whose spare blocks cannot feed the FTL's GC.
+
+        The spare blocks are the ones this scenario's live data can
+        never fill: the device's over-provisioning plus the logical
+        space beyond the footprint and the warm fill (a replayed MSRC
+        file may touch all of it).  If the FTL's open blocks and GC
+        reserve (``open_blocks``) exceed them, every GC victim can end
+        up fully valid and collection stops making progress.  The error
+        names ``device.planes_per_chip`` when one append point per
+        (chip, plane) is what tips it over, else ``device.op_ratio``.
+        """
+        device = self.device
+        live = 1.0
+        if self.trace_path is None:
+            live = max(self.footprint_fraction, self.effective_warm_fill)
+        live_blocks = -(-int(device.logical_pages * live) // device.pages_per_block)
+        spare = device.total_blocks - live_blocks
+        held = open_blocks(device)
+        if sum(held.values()) <= spare:
+            return
+        if (
+            device.planes_per_chip > 1
+            and sum(open_blocks(device.replace(planes_per_chip=1)).values()) <= spare
+        ):
+            path, fix = "device.planes_per_chip", "use fewer planes per chip"
+        else:
+            path, fix = "device.op_ratio", "raise the over-provisioning"
+        roles = ", ".join(f"{count} {role}" for role, count in held.items())
+        raise ConfigError(
+            f"{path}: the {self.ftl} FTL holds {sum(held.values())} blocks out of "
+            f"the free pool ({roles}), but this scenario leaves only {spare} spare "
+            f"blocks ({device.total_blocks} minus the {live_blocks} its live data "
+            f"can fill), so garbage collection would starve; {fix}, or give the "
+            f"device more blocks"
+        )
 
     # ------------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from typing import Callable
 from repro.core.config import PPBConfig
 from repro.core.ppb_ftl import PPBFTL
 from repro.errors import ConfigError
+from repro.ftl.base import BaseFTL
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.dftl import DFTL
 from repro.ftl.fast import FastFTL
@@ -61,8 +62,9 @@ def _make_dftl(
     return DFTL(device, mapping=mapping, reliability=reliability, refresh=refresh)
 
 
-#: Registered FTL classes by kind (used to *derive* capability sets).
-FTL_CLASSES: dict[str, type] = {
+#: Registered FTL classes by kind (used to *derive* capability sets and
+#: the blocks each holds open, see ``open_blocks``).
+FTL_CLASSES: dict[str, type[BaseFTL] | type[FastFTL]] = {
     "conventional": ConventionalFTL,
     "fast": FastFTL,
     "ppb": PPBFTL,

@@ -56,13 +56,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.arrival import ArrivalSpec
 from repro.sim.engine import Callback, Engine
 from repro.sim.resources import Resource
-from repro.traces.record import IORequest, OpType, Trace
+from repro.traces.record import OPS, READ, TRIM, IORequest, Trace
 
 
 class FtlProtocol(Protocol):
@@ -245,7 +245,10 @@ def _timed_extras(
 class _Job:
     """One request in flight through a timed replay."""
 
-    request: IORequest
+    #: the request's trace row: op code (see ``OPS``), offset and size.
+    op: int
+    offset: int
+    size: int
     #: when the request arrived, before any admission wait.
     arrival_us: float
     #: its summed service time, set when the FTL services it.
@@ -265,9 +268,12 @@ class _Visit:
     done: Callback
 
 
-#: How a finished timed request is accounted:
-#: ``account(request, latency_us, response_us)``.
-_Account = Callable[[IORequest, float, float], None]
+#: How a finished timed request is accounted: ``account(job, response_us)``.
+_Account = Callable[[_Job, float], None]
+
+#: One trace row as the arrival process walks it:
+#: ``(op code, offset, size, timestamp_us)``.
+_Row = tuple[int, int, int, float]
 
 
 class _Arrivals:
@@ -286,6 +292,10 @@ class _Arrivals:
     *Closed* loop: timestamps are ignored and ``queue_depth`` requests
     stay in flight, each completion admitting the next one.  Response
     time = completion - admission (a population slot *is* admission).
+
+    Either way the trace's columns are walked lazily, one row at a
+    time, and a :class:`_Job` exists only while its request is in
+    flight.
     """
 
     def __init__(
@@ -297,37 +307,40 @@ class _Arrivals:
         self.closed = arrival.is_closed
         #: the open-loop host queue bound (None when unbounded or closed).
         self.slots: Resource | None = None
-        self._requests = iter(trace.requests)
+        self._rows: Iterator[_Row] = zip(
+            trace.ops, trace.offsets, trace.sizes, trace.timestamps_us
+        )
         self._scale = arrival.scale
         self._latest = 0.0
         if self.closed:
-            for request in itertools.islice(self._requests, arrival.queue_depth):
-                engine.process(start, _Job(request, engine.now))
+            for op, offset, size, _ in itertools.islice(self._rows, arrival.queue_depth):
+                engine.process(start, _Job(op, offset, size, engine.now))
             return
         if arrival.queue_depth:
             self.slots = Resource(engine, arrival.queue_depth)
         engine.process(self._walk)
 
-    def _walk(self, arrived: IORequest | None = None) -> None:
+    def _walk(self, arrived: _Row | None = None) -> None:
         """Open loop: start requests in trace order until one must wait
         (first ``arrived``, when its gap has just elapsed)."""
         if arrived is not None and not self._admit(arrived):
             return
-        for request in self._requests:
-            gap = request.timestamp_us - self._latest
+        for row in self._rows:
+            stamp = row[3]
+            gap = stamp - self._latest
             if gap > 0.0:
-                self._latest = request.timestamp_us
+                self._latest = stamp
                 if self._scale != 1.0:
                     gap /= self._scale
                 if gap:
-                    self.engine.timeout(gap, self._walk, request)
+                    self.engine.timeout(gap, self._walk, row)
                     return
-            if not self._admit(request):
+            if not self._admit(row):
                 return
 
-    def _admit(self, request: IORequest) -> bool:
-        """Start ``request`` now, or queue it for a host slot (False)."""
-        job = _Job(request, self.engine.now)
+    def _admit(self, row: _Row) -> bool:
+        """Start ``row``'s request now, or queue it for a host slot (False)."""
+        job = _Job(row[0], row[1], row[2], self.engine.now)
         if self.slots is None:
             self.engine.process(self.start, job)
             return True
@@ -341,13 +354,13 @@ class _Arrivals:
     def complete(self, job: _Job) -> None:
         """Account a finished request; free its host slot (open loop) or
         admit the next request (closed loop)."""
-        self.account(job.request, job.latency_us, self.engine.now - job.arrival_us)
+        self.account(job, self.engine.now - job.arrival_us)
         if self.slots is not None:
             self.slots.release()
         elif self.closed:
-            request = next(self._requests, None)
-            if request is not None:
-                self.engine.process(self.start, _Job(request, self.engine.now))
+            row = next(self._rows, None)
+            if row is not None:
+                self.engine.process(self.start, _Job(row[0], row[1], row[2], self.engine.now))
 
 
 class SSD:
@@ -359,7 +372,7 @@ class SSD:
         self.ftl = ftl
         self.page_size = page_size
         self.capacity_bytes = ftl.num_lpns * page_size
-        #: hoisted for the per-request loop in :meth:`service`.
+        #: hoisted for the per-request loop in :meth:`_serve`.
         self._num_lpns = ftl.num_lpns
         #: active tenant partitions ((start, end, name) per tenant),
         #: set for the duration of a multi-tenant replay.
@@ -370,30 +383,34 @@ class SSD:
     # ------------------------------------------------------------------
 
     def service(self, request: IORequest) -> float:
-        """Service one request; returns its latency in microseconds.
+        """Service one request; returns its latency in microseconds."""
+        return self._serve(OPS.index(request.op), request.offset, request.size)
+
+    def _serve(self, op: int, offset: int, size: int) -> float:
+        """Service one trace row (op code, offset, size); returns its
+        latency in microseconds.
 
         The page range is computed and clamped to the logical capacity
         once per request (the old per-LPN bounds check re-read
         ``ftl.num_lpns`` every iteration of the hot loop).
         """
         page_size = self.page_size
-        first = request.offset // page_size
-        last = (request.offset + request.size - 1) // page_size
+        first = offset // page_size
+        last = (offset + size - 1) // page_size
         max_lpn = self._num_lpns - 1
         if last > max_lpn:
             last = max_lpn
         latency = 0.0
-        if request.is_read:
+        if op == READ:
             host_read = self.ftl.host_read
             for lpn in range(first, last + 1):
                 latency += host_read(lpn)
-        elif request.op is OpType.TRIM:
+        elif op == TRIM:
             trim = self.ftl.trim
             for lpn in range(first, last + 1):
                 latency += trim(lpn)
         else:
             host_write = self.ftl.host_write
-            size = request.size
             for lpn in range(first, last + 1):
                 latency += host_write(lpn, nbytes=size)
         return latency
@@ -426,9 +443,9 @@ class SSD:
         the wear state exactly as a measured replay would, but none of
         it is accounted — stats reset afterwards, like a warm fill.
         """
-        service = self.service
-        for request in trace.requests:
-            service(request)
+        serve = self._serve
+        for op, offset, size in zip(trace.ops, trace.offsets, trace.sizes):
+            serve(op, offset, size)
         self._reset_stats()
 
     def _reset_stats(self) -> None:
@@ -485,9 +502,9 @@ class SSD:
         return None
 
     def _account_tenant(
-        self, result: RunResult, request: IORequest, latency: float
+        self, result: RunResult, offset: int, latency: float
     ) -> str | None:
-        name = self._tenant_of(request.offset)
+        name = self._tenant_of(offset)
         if name is None:
             return None
         result.tenant_requests[name] = result.tenant_requests.get(name, 0) + 1
@@ -501,24 +518,24 @@ class SSD:
 
     def _replay_sequential(self, trace: Trace) -> RunResult:
         result = self._base_result(trace)
-        service = self.service
+        serve = self._serve
         tenanted = bool(self._tenant_ranges)
         num_requests = read_requests = write_requests = trim_requests = 0
         read_us = write_us = trim_us = 0.0
-        for request in trace.requests:
-            latency = service(request)
+        for op, offset, size in zip(trace.ops, trace.offsets, trace.sizes):
+            latency = serve(op, offset, size)
             num_requests += 1
-            if request.is_read:
+            if op == READ:
                 read_requests += 1
                 read_us += latency
-            elif request.op is OpType.TRIM:
+            elif op == TRIM:
                 trim_requests += 1
                 trim_us += latency
             else:
                 write_requests += 1
                 write_us += latency
             if tenanted:
-                self._account_tenant(result, request, latency)
+                self._account_tenant(result, offset, latency)
         result.num_requests = num_requests
         result.read_requests = read_requests
         result.write_requests = write_requests
@@ -551,17 +568,16 @@ class SSD:
         result.extra.update(timed_extra)
         return result
 
-    def _account_timed(
-        self, result: RunResult, request: IORequest, latency: float, response_us: float
-    ) -> None:
+    def _account_timed(self, result: RunResult, job: _Job, response_us: float) -> None:
         """Fold one completed timed request into the aggregates."""
+        latency = job.latency_us
         result.response_times_us.append(response_us)
         result.num_requests += 1
-        if request.is_read:
+        if job.op == READ:
             result.read_requests += 1
             result.read_us += latency
             result.read_response_times_us.append(response_us)
-        elif request.op is OpType.TRIM:
+        elif job.op == TRIM:
             result.trim_requests += 1
             result.trim_us += latency
             result.trim_response_times_us.append(response_us)
@@ -570,7 +586,7 @@ class SSD:
             result.write_us += latency
             result.write_response_times_us.append(response_us)
         if self._tenant_ranges:
-            name = self._account_tenant(result, request, latency)
+            name = self._account_tenant(result, job.offset, latency)
             if name is not None:
                 result.tenant_response_times_us.setdefault(name, []).append(
                     response_us
@@ -594,10 +610,10 @@ class SSD:
         """
         engine = Engine()
         device = Resource(engine, capacity=1)
-        service = self.service
+        serve_row = self._serve
 
         def serve(job: _Job) -> None:
-            job.latency_us = service(job.request)
+            job.latency_us = serve_row(job.op, job.offset, job.size)
             engine.timeout(job.latency_us, served, job)
 
         def served(job: _Job) -> None:
@@ -611,9 +627,9 @@ class SSD:
         return _timed_extras(engine.now, arrivals.slots)
 
     def _service_profiled(
-        self, request: IORequest
+        self, job: _Job
     ) -> tuple[float, dict[tuple[int, int], list[float]]]:
-        """Service a request with the device op log armed.
+        """Service a job's request with the device op log armed.
 
         Returns ``(latency, per_unit)`` where ``per_unit`` maps each
         touched ``(chip, plane)`` to its ``[transfer_us, array_us]``
@@ -625,7 +641,7 @@ class SSD:
         """
         device = self.ftl.device
         device.begin_oplog()
-        latency = self.service(request)
+        latency = self._serve(job.op, job.offset, job.size)
         ops = device.end_oplog()
         per_unit: dict[tuple[int, int], list[float]] = {}
         for chip, plane, array_us, transfer_us in ops:
@@ -670,7 +686,7 @@ class SSD:
         service_profiled = self._service_profiled
 
         def start(job: _Job) -> None:
-            job.latency_us, per_unit = service_profiled(job.request)
+            job.latency_us, per_unit = service_profiled(job)
             if not per_unit:
                 arrivals.complete(job)
                 return

@@ -19,18 +19,19 @@ format and round-tripped.
 from __future__ import annotations
 
 import io
+from array import array
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from repro.errors import TraceFormatError
-from repro.traces.record import IORequest, OpType, Trace
+from repro.traces.record import OPS, OpType, Trace
 
 #: 100 ns ticks per microsecond in Windows filetime.
 _TICKS_PER_US = 10
 
 
-def _parse_line(line: str, line_no: int) -> IORequest | None:
-    """Parse one MSRC CSV line into an :class:`IORequest`."""
+def _parse_line(line: str, line_no: int) -> tuple[OpType, int, int, float] | None:
+    """Parse one MSRC CSV line into ``(op, offset, size, timestamp_us)``."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -48,7 +49,7 @@ def _parse_line(line: str, line_no: int) -> IORequest | None:
         raise TraceFormatError(f"line {line_no}: {exc}") from exc
     if size <= 0:
         return None
-    return IORequest(op=op, offset=offset, size=size, timestamp_us=timestamp_us)
+    return op, offset, size, timestamp_us
 
 
 def read_msr_stream(
@@ -57,10 +58,17 @@ def read_msr_stream(
     disk_filter: int | None = None,
     max_requests: int | None = None,
 ) -> Trace:
-    """Parse MSRC CSV from an open text stream."""
-    requests: list[IORequest] = []
+    """Parse MSRC CSV from an open text stream.
+
+    Rows go straight into the trace's columns; their offsets and sizes
+    are checked once, when the trace is built.
+    """
+    ops = bytearray()
+    offsets = array("q")
+    sizes = array("q")
+    stamps = array("d")
     for line_no, line in enumerate(stream, start=1):
-        if max_requests is not None and len(requests) >= max_requests:
+        if max_requests is not None and len(ops) >= max_requests:
             break
         if disk_filter is not None:
             fields = line.split(",")
@@ -70,15 +78,17 @@ def read_msr_stream(
                         continue
                 except ValueError:
                     pass
-        req = _parse_line(line, line_no)
-        if req is not None:
-            requests.append(req)
-    if requests:
-        t0 = min(r.timestamp_us for r in requests)
-        requests = [
-            IORequest(r.op, r.offset, r.size, r.timestamp_us - t0) for r in requests
-        ]
-    return Trace(requests, name=name)
+        row = _parse_line(line, line_no)
+        if row is not None:
+            op, offset, size, timestamp_us = row
+            ops.append(OPS.index(op))
+            offsets.append(offset)
+            sizes.append(size)
+            stamps.append(timestamp_us)
+    if stamps:
+        t0 = min(stamps)
+        stamps = array("d", [stamp - t0 for stamp in stamps])
+    return Trace.from_columns(ops, offsets, sizes, stamps, name=name)
 
 
 def read_msr_csv(

@@ -22,13 +22,14 @@ are constructor parameters so sensitivity studies can sweep them.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.traces.record import IORequest, OpType, Trace
+from repro.traces.record import OPS, OpType, Trace
 from repro.traces.synthetic import (
     PatternPhase,
     ScrambledZipfian,
@@ -104,7 +105,7 @@ class SyntheticWorkload:
         self.mean_interarrival_us = mean_interarrival_us
         self.rng = np.random.default_rng(seed)
         self._now_us = 0.0
-        self._out: list[IORequest] = []
+        self._start_columns()
 
     # -- helpers for subclasses ----------------------------------------
 
@@ -113,10 +114,19 @@ class SyntheticWorkload:
         self._now_us += float(self.rng.exponential(self.mean_interarrival_us))
         return self._now_us
 
+    def _start_columns(self) -> None:
+        """Fresh output columns (see :class:`~repro.traces.record.Trace`)."""
+        self._ops = bytearray()
+        self._offsets = array("q")
+        self._sizes = array("q")
+        self._stamps = array("d")
+
     def _push(self, op: OpType, offset: int, size: int) -> None:
         """Append one request at the current clock."""
-        offset = max(0, min(offset, self.footprint_bytes - size))
-        self._out.append(IORequest(op, offset, size, self._now_us))
+        self._ops.append(OPS.index(op))
+        self._offsets.append(max(0, min(offset, self.footprint_bytes - size)))
+        self._sizes.append(size)
+        self._stamps.append(self._now_us)
 
     def _partition(self, fractions: dict[str, float]) -> dict[str, Region]:
         """Split the footprint into named regions by fraction (sums to <= 1)."""
@@ -157,13 +167,16 @@ class SyntheticWorkload:
 
     def generate(self) -> Trace:
         """Produce the trace (deterministic for a given seed)."""
-        self._out = []
+        self._start_columns()
         self._now_us = 0.0
-        while len(self._out) < self.num_requests:
+        ops = self._ops
+        while len(ops) < self.num_requests:
             self._advance_clock()
             self._emit()
-        del self._out[self.num_requests:]
-        return Trace(self._out, name=f"{self.trace_name}-s{self.seed}")
+        columns = (ops, self._offsets, self._sizes, self._stamps)
+        for column in columns:
+            del column[self.num_requests:]
+        return Trace.from_columns(*columns, name=f"{self.trace_name}-s{self.seed}")
 
 
 class MediaServerWorkload(SyntheticWorkload):

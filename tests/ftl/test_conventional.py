@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import MappingError
+from repro.errors import ConfigError, MappingError
 from repro.ftl.conventional import ConventionalFTL
 from repro.nand.device import NandDevice
-from repro.nand.spec import tiny_spec
+from repro.nand.spec import sim_spec, tiny_spec
+from repro.scenario import ScenarioSpec
 
 
 @pytest.fixture
@@ -214,23 +215,28 @@ class TestPlaneStriping:
 #: 16 host append points (4 chips x 4 planes) on a 64-block device leave
 #: GC nothing to gain: at one free block every victim is fully valid, and
 #: collecting one frees exactly the block its copies use.
+STARVED_DEVICE = sim_spec(blocks_per_chip=16, num_chips=4, num_channels=2, planes_per_chip=4)
+
+#: The scenario the spec rejects, assembled by hand past that check, so
+#: the GC loop itself must give up instead of spinning.
 STARVED_GC_SCRIPT = """
 import sys
 
-from repro.errors import ConfigError, OutOfSpaceError
+from repro.errors import OutOfSpaceError
+from repro.ftl.conventional import ConventionalFTL
+from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec
-from repro.scenario import ScenarioSpec, run_scenario
+from repro.sim.ssd import SSD
+from repro.traces.workloads import WebSqlWorkload
 
-spec = ScenarioSpec(
-    workload="web-sql",
-    num_requests=200,
-    seed=0,
-    mode=sys.argv[1],
-    device=sim_spec(blocks_per_chip=16, num_chips=4, num_channels=2, planes_per_chip=4),
-)
+spec = sim_spec(blocks_per_chip=16, num_chips=4, num_channels=2, planes_per_chip=4)
+ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+footprint = int(spec.logical_bytes * 0.8)
+trace = WebSqlWorkload(num_requests=200, footprint_bytes=footprint, seed=0).generate()
+ssd.warm_fill(0.8)
 try:
-    run_scenario(spec)
-except (ConfigError, OutOfSpaceError) as exc:
+    ssd.replay(trace.fit_to(ssd.capacity_bytes), mode=sys.argv[1])
+except OutOfSpaceError as exc:
     print(type(exc).__name__)
 else:
     print("completed")
@@ -238,6 +244,13 @@ else:
 
 
 class TestGcTermination:
+    @pytest.mark.parametrize("mode", ["sequential", "timed"])
+    def test_starved_spec_is_rejected_at_construction(self, mode):
+        with pytest.raises(ConfigError, match=r"^device\.planes_per_chip: "):
+            ScenarioSpec(
+                workload="web-sql", num_requests=200, seed=0, mode=mode, device=STARVED_DEVICE
+            )
+
     @pytest.mark.parametrize("mode", ["sequential", "timed"])
     def test_starved_gc_raises_instead_of_spinning(self, mode):
         """The collection loop must make net progress or give up."""
@@ -251,4 +264,4 @@ class TestGcTermination:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() in ("OutOfSpaceError", "ConfigError")
+        assert proc.stdout.strip() == "OutOfSpaceError"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.ftl.blockinfo import TRANS_KLASS
 from repro.ftl.conventional import ConventionalFTL
-from repro.ftl.dftl import DFTL
+from repro.ftl.dftl import DFTL, translation_lpn
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.transmap import LazyPageMapTable, MappingConfig
 from repro.nand.device import NandDevice
@@ -127,7 +129,50 @@ class TestConstrainedCache:
         assert dftl.resolve_persisted(3) == UNMAPPED
 
 
+class TestTranslationTags:
+    def test_translation_page_tag_decodes_to_its_tvpn(self):
+        dftl = DFTL(NandDevice(tiny_spec()), mapping=SMALL)
+        _workload(dftl)
+        dftl.flush_mapping()
+        persisted = [
+            tvpn
+            for tvpn in range(dftl.gtd.num_translation_pages)
+            if dftl.gtd.ppn_of(tvpn) != UNMAPPED
+        ]
+        assert persisted
+        for tvpn in persisted:
+            lpn, version = dftl.device.tag(dftl.gtd.ppn_of(tvpn))
+            assert lpn < 0
+            assert translation_lpn(lpn) == tvpn
+            assert 0 < version <= dftl._op_sequence
+
+    def test_helper_is_its_own_inverse_and_never_a_data_lpn(self):
+        for n in (0, 1, 7, 1 << 40):
+            assert translation_lpn(n) < 0
+            assert translation_lpn(translation_lpn(n)) == n
+
+
 class TestTerabyteScale:
+    def test_4tb_geometry_allocates_at_most_16_mib(self):
+        """Page state is allocated per programmed block, never up front
+        (a bitmap per block alone would be 256 MiB here)."""
+        spec = NandSpec(
+            page_size=16 * 1024,
+            pages_per_block=2048,
+            blocks_per_chip=16 * 1024,
+            num_chips=8,
+        )
+        mapping = MappingConfig(cache_entries=1 << 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dftl = DFTL(NandDevice(spec), mapping=mapping)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert dftl.num_lpns == spec.logical_pages
+        assert allocated <= 16 * 2**20
+
     def test_4tb_geometry_constructs_and_serves(self):
         spec = NandSpec(
             page_size=16 * 1024,

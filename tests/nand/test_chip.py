@@ -1,10 +1,13 @@
 """Tests for the NAND chip command model (hardware rule enforcement)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import AddressError, ProgramOrderError, ReadFreePageError
 from repro.nand.chip import NandChip
-from repro.nand.spec import tiny_spec
+from repro.nand.latency import LatencyModel
+from repro.nand.spec import sim_spec, tiny_spec
 
 
 @pytest.fixture
@@ -103,17 +106,79 @@ class TestAsymmetricTiming:
 
 class TestTags:
     def test_tag_round_trip(self, chip):
-        chip.program(0, 0, tag=("lpn", 7))
-        assert chip.tag(0, 0) == ("lpn", 7)
+        chip.program(0, 0, lpn=3, version=7)
+        assert chip.tag(0, 0) == (3, 7)
 
     def test_untagged_page_returns_none(self, chip):
         chip.program(0, 0)
         assert chip.tag(0, 0) is None
 
     def test_erase_drops_tags(self, chip):
-        chip.program(0, 0, tag="x")
+        chip.program(0, 0, lpn=1, version=2)
         chip.erase(0)
         assert chip.tag(0, 0) is None
+
+    def test_untagged_program_after_erase_reads_none(self, chip):
+        chip.program(0, 0, lpn=1, version=2)
+        chip.program(0, 1, lpn=4, version=5)
+        chip.erase(0)
+        chip.program(0, 0)
+        assert chip.tag(0, 0) is None
+        assert chip.tag(0, 1) is None
+
+    def test_untagged_page_beside_tagged_reads_none(self, chip):
+        chip.program(0, 0, lpn=1, version=2)
+        chip.program(0, 1)
+        assert chip.tag(0, 0) == (1, 2)
+        assert chip.tag(0, 1) is None
+
+    def test_negative_lpn_and_zero_version_round_trip(self, chip):
+        chip.program(0, 0, lpn=-1, version=0)
+        assert chip.tag(0, 0) == (-1, 0)
+
+    def test_copyback_carries_the_tag(self, chip):
+        chip.program(0, 0, lpn=9, version=11)
+        chip.program(0, 1)
+        chip.copyback(0, 0, 1, 0)
+        chip.copyback(0, 1, 1, 1)
+        assert chip.tag(1, 0) == (9, 11)
+        assert chip.tag(1, 1) is None
+
+
+class TestPageStateMemory:
+    def test_page_state_grows_with_programmed_blocks_and_is_freed_at_erase(self):
+        spec = sim_spec()  # 256 blocks of 384 pages
+        pages = spec.pages_per_block
+        latency = LatencyModel(spec)
+
+        def fill(chip, blocks):
+            for block in blocks:
+                for page in range(pages):
+                    chip.program(block, page, lpn=block * pages + page, version=page)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chip = NandChip(0, spec, latency)
+            empty = tracemalloc.get_traced_memory()[0] - base
+            fill(chip, range(8))
+            eight = tracemalloc.get_traced_memory()[0] - base
+            fill(chip, range(8, 16))
+            sixteen = tracemalloc.get_traced_memory()[0] - base
+            for block in range(16):
+                chip.erase(block)
+            erased = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # No per-page state up front: a bitmap per block would be 1 B a page.
+        assert empty < spec.blocks_per_chip * pages // 4
+        # A programmed block costs its bitmap (1 B a page) and its tags
+        # (16 B a page), and nothing else.
+        assert (sixteen - eight) / 8 <= 18 * pages
+        assert eight - empty <= 8 * 18 * pages
+        # Erase hands both back.
+        assert erased - empty < 16 * pages // 2
+        assert chip.tag(0, 0) is None and not chip.is_programmed(0, 0)
 
 
 class TestStats:

@@ -9,9 +9,9 @@ from repro.nand.spec import tiny_spec
 
 class TestFlatAddressing:
     def test_program_read_first_page(self, device):
-        device.program_ppn(0, tag="a")
+        device.program_ppn(0, lpn=5, version=1)
         assert device.read_ppn(0) > 0
-        assert device.tag(0) == "a"
+        assert device.tag(0) == (5, 1)
 
     def test_cross_chip_routing(self):
         device = NandDevice(tiny_spec(num_chips=2))
@@ -37,6 +37,38 @@ class TestFlatAddressing:
         device.program_ppn(1 * device.spec.pages_per_block + 0)
         with pytest.raises(ProgramOrderError):
             device.program_ppn(1 * device.spec.pages_per_block + 0)
+
+
+class TestTagContract:
+    def test_cross_chip_copy_carries_its_tag(self):
+        device = NandDevice(tiny_spec(num_chips=2))
+        device.program_ppn(0, lpn=8, version=13)
+        device.program_ppn(1)
+        dst = device.geometry.make_ppn(1, 0, 0)
+        device.copy_page(0, dst)
+        device.copy_page(1, dst + 1)
+        assert device.tag(dst) == (8, 13)
+        assert device.tag(dst + 1) is None
+
+    def test_same_chip_copy_carries_its_tag(self, device):
+        device.program_ppn(0, lpn=8, version=13)
+        dst = device.geometry.make_ppn(0, 1, 0)
+        device.copy_page(0, dst)
+        assert device.tag(dst) == (8, 13)
+
+    def test_multi_program_stores_each_planes_tag(self):
+        device = NandDevice(tiny_spec(planes_per_chip=2))
+        ppns = [device.geometry.make_ppn(0, block, 0) for block in (0, 1)]
+        device.program_multi_ppn(ppns, tags=[(4, 10), (6, 11)])
+        assert [device.tag(ppn) for ppn in ppns] == [(4, 10), (6, 11)]
+
+    def test_multi_erase_clears_every_siblings_tags(self):
+        device = NandDevice(tiny_spec(planes_per_chip=2))
+        ppns = [device.geometry.make_ppn(0, block, 0) for block in (0, 1)]
+        device.program_multi_ppn(ppns, tags=[(4, 10), (6, 11)])
+        device.erase_multi_pbn([0, 1])
+        device.program_multi_ppn(ppns)
+        assert [device.tag(ppn) for ppn in ppns] == [None, None]
 
 
 class TestAggregates:
@@ -68,7 +100,7 @@ class TestOpLog:
         device = NandDevice(spec)
         page_transfer = device.latency.transfer_us()
         log = device.begin_oplog()
-        device.program_ppn(0, tag="a")
+        device.program_ppn(0, lpn=5, version=1)
         device.read_ppn(0)
         ops = device.end_oplog()
         assert device.oplog is None  # disarmed
@@ -83,7 +115,7 @@ class TestOpLog:
     def test_internal_moves_have_no_bus_share(self):
         spec = tiny_spec(num_chips=2)
         device = NandDevice(spec)
-        device.program_ppn(0, tag="x")
+        device.program_ppn(0, lpn=2, version=3)
         cross_chip_dst = device.geometry.make_ppn(1, 0, 0)
         device.begin_oplog()
         device.copy_page(0, cross_chip_dst)

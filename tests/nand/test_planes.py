@@ -90,9 +90,9 @@ class TestChipMultiProgram:
         assert fused == pytest.approx(array + 2 * (total - array))
 
     def test_programs_every_plane(self, chip):
-        chip.multi_program([0, 1], 0, tags=["a", "b"])
+        chip.multi_program([0, 1], 0, tags=[(1, 2), (3, 4)])
         assert chip.is_programmed(0, 0) and chip.is_programmed(1, 0)
-        assert chip.tag(0, 0) == "a" and chip.tag(1, 0) == "b"
+        assert chip.tag(0, 0) == (1, 2) and chip.tag(1, 0) == (3, 4)
         assert chip.stats.programs == 2
 
     def test_same_plane_blocks_rejected(self, chip):

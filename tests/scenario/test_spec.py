@@ -53,6 +53,42 @@ class TestValidation:
             ScenarioSpec(num_requests=0)
 
 
+class TestGcHeadroom:
+    """Specs whose FTL holds more blocks open than the device spares."""
+
+    def test_ppb_on_a_16_block_chip_names_op_ratio(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"^device\.op_ratio: the ppb FTL holds 5 blocks .*4 area blocks, 1 GC reserve",
+        ):
+            ScenarioSpec(ftl="ppb", device=sim_spec(blocks_per_chip=16))
+
+    def test_logical_space_outside_the_footprint_is_spare(self):
+        # 64 blocks keep 4 for over-provisioning; the default 80%
+        # footprint leaves 12 more, a full one none.
+        ScenarioSpec(ftl="ppb", device=sim_spec(blocks_per_chip=64))
+        with pytest.raises(ConfigError, match=r"^device\.op_ratio: .* 4 spare blocks"):
+            ScenarioSpec(
+                ftl="ppb", device=sim_spec(blocks_per_chip=64), footprint_fraction=1.0
+            )
+        with pytest.raises(ConfigError, match=r"^device\.op_ratio: "):
+            ScenarioSpec(
+                ftl="ppb", device=sim_spec(blocks_per_chip=64), warm_fill_fraction=1.0
+            )
+
+    def test_a_trace_file_may_fill_every_logical_page(self):
+        with pytest.raises(ConfigError, match=r"^device\.op_ratio: "):
+            ScenarioSpec(
+                ftl="ppb", device=sim_spec(blocks_per_chip=64), trace_path="trace.csv"
+            )
+
+    def test_plane_append_points_name_planes_per_chip(self):
+        device = sim_spec(blocks_per_chip=16, num_chips=2, planes_per_chip=4)
+        with pytest.raises(ConfigError, match=r"^device\.planes_per_chip: .*8 host append"):
+            ScenarioSpec(device=device)
+        ScenarioSpec(device=device.replace(planes_per_chip=2))
+
+
 class TestCanonicalization:
     def test_workload_kwargs_dict_normalized_to_sorted_tuple(self):
         from_dict = ScenarioSpec(workload_kwargs={"b": 2.0, "a": 1.0})
