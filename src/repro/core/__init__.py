@@ -15,8 +15,6 @@ hurting garbage collection:
 * :mod:`repro.core.vblists` — the five VB lists and the Algorithm 1
   allocation discipline (divert on one-side-full, new pair only when
   both sides are full).
-* :mod:`repro.core.areas` — hot/cold area managers tying trackers to
-  placement decisions.
 * :mod:`repro.core.placement` — the reliability-aware placement policy
   that prices fast pages' predicted RBER-at-horizon against their speed
   gain (``PPBConfig.reliability_weight``).
@@ -38,7 +36,6 @@ from repro.core.lru import TwoLevelLRU
 from repro.core.freqtable import AccessFrequencyTable
 from repro.core.virtual_block import VBState, VirtualBlock, VirtualBlockManager
 from repro.core.vblists import AreaAllocator
-from repro.core.areas import ColdArea, HotArea
 from repro.core.ppb_ftl import PPBFTL
 
 __all__ = [
@@ -56,8 +53,6 @@ __all__ = [
     "VirtualBlock",
     "VirtualBlockManager",
     "AreaAllocator",
-    "HotArea",
-    "ColdArea",
     "ReliabilityAwarePlacement",
     "PPBFTL",
 ]

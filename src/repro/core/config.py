@@ -29,12 +29,6 @@ class PPBConfig:
     #: bound on fast VBs queued awaiting allocation per area — the
     #: "both lists are full" guard of Fig. 10b III.
     max_pending_vbs: int = 2
-    #: consolidate GC-relocated icy-cold data into its own block pairs
-    #: instead of mixing it with fresh icy-cold host writes (lifetime
-    #: separation).  Off by default: it costs extra open blocks, which
-    #: under tight over-provisioning raises the erase count more than
-    #: the consolidation saves.  Kept for the ablation benches.
-    separate_gc_icy: bool = False
     #: how many promoted (icy -> cold) pages each GC pass may migrate to
     #: fast virtual blocks (paper Fig. 11a: the sorted frequency table's
     #: data "moves to its new location with suitable access speed").

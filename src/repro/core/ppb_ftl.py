@@ -27,15 +27,13 @@ for the baselines.  Single-chip behaviour is unchanged, byte for byte.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
-from repro.core.areas import ColdArea, HotArea
 from repro.core.config import PPBConfig
+from repro.core.freqtable import AccessFrequencyTable
 from repro.core.hotness import Area, HotnessLevel
-from repro.core.identification import (
-    FirstStageIdentifier,
-    SizeCheckIdentifier,
-    make_identifier,
-)
+from repro.core.identification import SizeCheckIdentifier, make_identifier
+from repro.core.lru import TwoLevelLRU
 from repro.core.placement import ReliabilityAwarePlacement
 from repro.core.vblists import AreaAllocator
 from repro.core.virtual_block import VirtualBlockManager
@@ -45,43 +43,42 @@ from repro.ftl.gc import VictimPolicy
 from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
+if TYPE_CHECKING:  # imported lazily to keep repro.core free of cycles
+    from repro.ftl.transmap import MappingConfig
+    from repro.reliability.manager import ReliabilityManager
+    from repro.reliability.refresh import RefreshPolicy
+
 
 class PPBFTL(BaseFTL):
     """Page-mapping FTL with the PPB placement strategy."""
 
     name = "ppb"
 
+    #: PPB keeps up to four open blocks (two areas x two speed
+    #: classes), so it needs a slightly deeper free reserve.
+    min_gc_low_blocks = 5
+
     def __init__(
         self,
         device: NandDevice,
         config: PPBConfig | None = None,
-        identifier: FirstStageIdentifier | None = None,
         victim_policy: VictimPolicy | None = None,
-        gc_low_blocks: int | None = None,
-        gc_high_blocks: int | None = None,
-        reliability=None,
-        refresh=None,
+        reliability: "ReliabilityManager | None" = None,
+        refresh: "RefreshPolicy | None" = None,
     ) -> None:
-        if gc_low_blocks is None:
-            # PPB keeps up to four open blocks (two areas x two speed
-            # classes), so it needs a slightly deeper free reserve than
-            # the baseline's two.
-            gc_low_blocks = max(5, device.spec.total_blocks // 64)
-        super().__init__(
-            device,
-            victim_policy,
-            gc_low_blocks,
-            gc_high_blocks,
-            reliability=reliability,
-            refresh=refresh,
-        )
+        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
         self.config = config or PPBConfig()
-        self.identifier = identifier or make_identifier(
-            self.config.identifier, self.spec.page_size
-        )
+        self.identifier = make_identifier(self.config.identifier, self.spec.page_size)
         self.vbmgr = VirtualBlockManager(self.spec, self.config.vb_split)
-        self.hot_area = HotArea(self.config, self.num_lpns)
-        self.cold_area = ColdArea(self.config, self.num_lpns)
+        self._lru = TwoLevelLRU(
+            hot_capacity=self.config.hot_list_capacity(self.num_lpns),
+            iron_capacity=self.config.iron_list_capacity(self.num_lpns),
+        )
+        self._freq = AccessFrequencyTable(
+            capacity=self.config.freq_table_capacity(self.num_lpns),
+            promote_reads=self.config.cold_promote_reads,
+            aging_period=self.config.freq_aging_period,
+        )
         self.allocators: dict[Area, AreaAllocator] = {
             area: AreaAllocator(
                 area,
@@ -93,18 +90,6 @@ class PPBFTL(BaseFTL):
             )
             for area in (Area.HOT, Area.COLD)
         }
-        #: optional dedicated stream consolidating GC-relocated icy data
-        #: (cold area, lifetime-separated from fresh icy host writes).
-        self.gc_icy_allocator: AreaAllocator | None = None
-        if self.config.separate_gc_icy:
-            self.gc_icy_allocator = AreaAllocator(
-                Area.COLD,
-                device,
-                self.blocks,
-                self.vbmgr,
-                discipline=self.config.allocation_discipline,
-                max_pending=1,
-            )
         #: promoted pages awaiting migration to fast pages at next GC.
         self._migration_queue: deque[int] = deque()
         # Hot-path lookup tables: placement runs per host write and the
@@ -124,14 +109,9 @@ class PPBFTL(BaseFTL):
             level: f"ppb.gc_place.{level.label}" for level in HotnessLevel
         }
         self._fast_half_start = self.spec.pages_per_block // 2
-        self._allocator_tuple = tuple(self._all_allocators())
-        # Direct tracker references: the area objects are thin wrappers,
-        # and the per-op paths below go straight to the LRU / frequency
-        # table to skip a delegation layer per event.
-        self._lru = self.hot_area.lru
-        self._freq = self.cold_area.table
+        self._allocator_tuple = tuple(self.allocators.values())
         #: page-size threshold of the paper's size-check identifier,
-        #: inlined in _classify_write; None for custom identifiers.
+        #: inlined in _classify_write; None for the other identifiers.
         self._size_check_threshold = (
             self.identifier.page_size
             if type(self.identifier) is SizeCheckIdentifier
@@ -187,12 +167,6 @@ class PPBFTL(BaseFTL):
         if ctx.is_gc:
             level = self.current_level(lpn)
             key = self._gc_place_key[level]
-            if (
-                level is HotnessLevel.ICY_COLD
-                and self.gc_icy_allocator is not None
-            ):
-                self.stats.bump(key)
-                return self.gc_icy_allocator.alloc_page(False)
         else:
             level = self._classify_write(lpn, ctx.nbytes)
             key = self._host_place_key[level]
@@ -224,12 +198,6 @@ class PPBFTL(BaseFTL):
         self.stats.bump("ppb.reliability_diverts")
         return False
 
-    def _all_allocators(self) -> list[AreaAllocator]:
-        allocators = list(self.allocators.values())
-        if self.gc_icy_allocator is not None:
-            allocators.append(self.gc_icy_allocator)
-        return allocators
-
     def _owner_of(self, pbn: int) -> AreaAllocator:
         """The allocator whose pair the block belongs to."""
         for allocator in self._allocator_tuple:
@@ -245,9 +213,20 @@ class PPBFTL(BaseFTL):
         # Two areas x two speed classes; GC relocates through them too.
         return {"area blocks": 4, **super().open_blocks(spec)}
 
+    @classmethod
+    def from_sections(
+        cls,
+        device: NandDevice,
+        ppb: PPBConfig | None = None,
+        reliability: "ReliabilityManager | None" = None,
+        refresh: "RefreshPolicy | None" = None,
+        mapping: "MappingConfig | None" = None,
+    ) -> PPBFTL:
+        return cls(device, config=ppb, reliability=reliability, refresh=refresh)
+
     def _active_blocks(self) -> set[int]:
         active: set[int] = set()
-        for allocator in self._all_allocators():
+        for allocator in self._allocator_tuple:
             active |= allocator.active_pbns()
         return active
 
@@ -390,11 +369,11 @@ class PPBFTL(BaseFTL):
         if self.placement is not None:
             report["ppb.placement.fast_choices"] = self.placement.fast_choices
             report["ppb.placement.slow_diverts"] = self.placement.slow_diverts
-        report["ppb.lru.promotions"] = self.hot_area.lru.promotions
-        report["ppb.lru.demotions_to_hot"] = self.hot_area.lru.demotions_to_hot
-        report["ppb.lru.evictions"] = self.hot_area.lru.evictions
-        report["ppb.freq.promotions"] = self.cold_area.table.promotions
-        report["ppb.freq.evictions"] = self.cold_area.table.evictions
+        report["ppb.lru.promotions"] = self._lru.promotions
+        report["ppb.lru.demotions_to_hot"] = self._lru.demotions_to_hot
+        report["ppb.lru.evictions"] = self._lru.evictions
+        report["ppb.freq.promotions"] = self._freq.promotions
+        report["ppb.freq.evictions"] = self._freq.evictions
         return report
 
     def fast_page_read_fraction(self) -> float:

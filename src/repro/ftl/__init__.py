@@ -1,7 +1,8 @@
 """Flash translation layer substrate.
 
-Provides the machinery shared by every FTL in this reproduction and the
-two speed-oblivious baselines:
+Provides :class:`~repro.ftl.base.BaseFTL`, the machinery every FTL in
+this reproduction shares, and the two speed-oblivious baselines built
+on it:
 
 * :class:`~repro.ftl.conventional.ConventionalFTL` — page-mapping FTL
   with greedy garbage collection; the paper's "conventional FTL design"
@@ -20,14 +21,11 @@ from repro.ftl.fast import FastFTL
 from repro.ftl.gc import GreedyVictimPolicy, CostBenefitVictimPolicy, RandomVictimPolicy
 from repro.ftl.mapping import PageMapTable
 from repro.ftl.blockinfo import BlockManager, BlockState
-from repro.ftl.reliability_hooks import ReliabilityHost, ReliableFtl
 from repro.ftl.stats import FtlStats
 from repro.ftl.wear import WearLeveler
 
 __all__ = [
     "BaseFTL",
-    "ReliabilityHost",
-    "ReliableFtl",
     "WriteContext",
     "ConventionalFTL",
     "FastFTL",

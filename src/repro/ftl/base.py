@@ -17,6 +17,13 @@ Subclass contract
     The set of currently OPEN blocks, excluded from victim selection.
 Optional hooks: ``_on_host_read``, ``_on_host_write``, ``_on_gc_copy``,
 ``_on_trim``, ``_on_block_full``, ``_on_erase``.
+
+The base also hosts the reliability stack (ECC read penalty, retention
+and wear notes, the refresh driver).  Refresh relocates through
+``_refresh_block`` (default: a GC collection), stops at
+``_refresh_headroom`` free blocks and triages with ``_held_pages``.
+FAST, which reclaims space by merges rather than GC, overrides
+``host_write`` and those three hooks instead of ``_alloc_ppn``.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ from repro.ftl.gc import (
     VictimPolicy,
 )
 from repro.ftl.mapping import UNMAPPED, PageMapTable
-from repro.ftl.reliability_hooks import ReliabilityHost
 from repro.ftl.stats import FtlStats
 from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # imported lazily to keep repro.ftl free of cycles
+    from repro.core.config import PPBConfig
+    from repro.ftl.transmap import MappingConfig
     from repro.reliability.manager import ReliabilityManager
     from repro.reliability.refresh import RefreshPolicy
 
@@ -64,23 +72,29 @@ class WriteContext:
     is_gc: bool = False
 
 
-class BaseFTL(ReliabilityHost):
+class BaseFTL:
     """Shared FTL machinery; see module docstring for the contract."""
 
     #: human-readable design name, overridden by subclasses.
     name = "base"
+    #: floor of the GC low watermark (free blocks); the watermark is
+    #: this or 1/64 of the device, whichever is larger, and GC collects
+    #: until two blocks above it are free.
+    min_gc_low_blocks = 4
 
     def __init__(
         self,
         device: NandDevice,
         victim_policy: VictimPolicy | None = None,
-        gc_low_blocks: int | None = None,
-        gc_high_blocks: int | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
         self.device = device
-        self._init_reliability(reliability, refresh)
+        #: optional reliability engine (None = latency-only simulation,
+        #: byte-for-byte identical to the pre-reliability code path).
+        self.reliability = reliability
+        #: optional refresh policy (needs ``reliability`` to do anything).
+        self.refresh = refresh
         self.spec = device.spec
         self.geometry = device.geometry
         self.num_lpns = self.spec.logical_pages
@@ -104,13 +118,8 @@ class BaseFTL(ReliabilityHost):
         )
         self.stats = FtlStats()
         self.victim_policy = victim_policy or self._default_victim_policy()
-        default_low = max(4, self.spec.total_blocks // 64)
-        self.gc_low_blocks = gc_low_blocks if gc_low_blocks is not None else default_low
-        self.gc_high_blocks = (
-            gc_high_blocks if gc_high_blocks is not None else self.gc_low_blocks + 2
-        )
-        if self.gc_high_blocks <= self.gc_low_blocks:
-            self.gc_high_blocks = self.gc_low_blocks + 1
+        self.gc_low_blocks = max(self.min_gc_low_blocks, self.spec.total_blocks // 64)
+        self.gc_high_blocks = self.gc_low_blocks + 2
         #: logical op clock; used as the "now" for age-based GC policies
         #: and as the version component of page tags.
         self._op_sequence = 0
@@ -144,6 +153,22 @@ class BaseFTL(ReliabilityHost):
         such a scenario when it is built.
         """
         return {"GC reserve": 1}
+
+    @classmethod
+    def from_sections(
+        cls,
+        device: NandDevice,
+        ppb: "PPBConfig | None" = None,
+        reliability: "ReliabilityManager | None" = None,
+        refresh: "RefreshPolicy | None" = None,
+        mapping: "MappingConfig | None" = None,
+    ) -> BaseFTL:
+        """Build this design from a scenario's sections.
+
+        Each design reads only the sections it uses (PPB its config,
+        DFTL its mapping) and ignores the rest.
+        """
+        return cls(device, reliability=reliability, refresh=refresh)
 
     # ------------------------------------------------------------------
     # Host API
@@ -426,19 +451,98 @@ class BaseFTL(ReliabilityHost):
         return siblings
 
     # ------------------------------------------------------------------
-    # ReliabilityHost contract: refresh rides the GC relocation path
+    # Reliability stack: read penalty, lifecycle notes, refresh driver
     # ------------------------------------------------------------------
+
+    def _reliability_read_penalty(self, ppn: int) -> float:
+        """ECC retry/recovery latency (us) a host read of ``ppn`` pays.
+
+        Any retry is also reported against the device op log
+        (:meth:`~repro.nand.device.NandDevice.note_retry`) so the timed
+        replay mode attributes the re-sensing and re-transfer to the
+        chip/channel that performed it.  An uncorrectable read's
+        driver-recovery share is split out and reported as a queued
+        recovery op (:meth:`~repro.nand.device.NandDevice.note_recovery`)
+        that occupies every chip — not folded into the page's retry
+        segment.  THE single definition of retry accounting: every host
+        read path calls here, so they cannot drift apart.
+        """
+        reliability = self.reliability
+        if reliability is None:
+            return 0.0
+        retry_us = reliability.on_host_read(ppn)
+        if retry_us:
+            device = self.device
+            recovery_us = reliability.consume_recovery_us()
+            if recovery_us:
+                ladder_us = retry_us - recovery_us
+                if ladder_us > 0.0:
+                    device.note_retry(ppn, ladder_us)
+                device.note_recovery(ppn, recovery_us)
+            else:
+                device.note_retry(ppn, retry_us)
+        return retry_us
+
+    def _reliability_note_program(self, pbn: int) -> None:
+        """A live page was programmed into ``pbn`` (retention stamp)."""
+        if self.reliability is not None:
+            self.reliability.note_program(pbn)
+
+    def _reliability_note_erase(self, pbn: int) -> None:
+        """Block ``pbn`` was erased (P/E count, clocks reset)."""
+        if self.reliability is not None:
+            self.reliability.note_erase(pbn)
+
+    def _maybe_refresh(self) -> float:
+        """Run the refresh policy if a scan is due; returns its latency.
+
+        Refresh reuses each FTL's own relocation mechanics (GC collect
+        for the page-mapping designs, merges for FAST) via
+        :meth:`_refresh_block`, so it inherits the data-integrity
+        guarantees those paths already prove — and, under PPB, re-places
+        refreshed data according to its *current* classification.
+        Refresh work is deliberately *not* folded into host latencies: a
+        real controller schedules it in the background, and the
+        scenarios report it separately (like GC time) so the
+        lifetime/latency trade-off stays visible.
+        """
+        refresh = self.refresh
+        if refresh is None or self.reliability is None:
+            return 0.0
+        if not refresh.is_check_due(self._op_sequence):
+            return 0.0
+        total = 0.0
+        for pbn in refresh.due_blocks(
+            self.blocks, exclude=self._active_blocks(), holds=self._held_pages
+        ):
+            # Never refresh into space pressure: reclamation must keep
+            # priority over background work, or refresh could trigger
+            # GC/merge storms.
+            if self.blocks.free_count <= self._refresh_headroom():
+                break
+            copied_before = self.stats.gc_copied_pages
+            latency = self._refresh_block(pbn)
+            self.reliability.note_refresh(
+                self.stats.gc_copied_pages - copied_before, latency
+            )
+            self.reliability.advance_us(latency)
+            total += latency
+        return total
 
     def _refresh_block(self, pbn: int) -> float:
         """Refresh = GC-collect the block (relocate live pages, erase)."""
         return self._collect(pbn)
 
     def _refresh_headroom(self) -> int:
-        """Refresh never eats into the GC reserve."""
+        """Free-block floor refresh must not eat into: the GC reserve."""
         return self.gc_low_blocks
 
-    def _held_pages(self, pbn: int) -> list[int]:
-        """In-block indices of ``pbn``'s live pages (holds-aware triage)."""
+    def _held_pages(self, pbn: int) -> list[int] | None:
+        """In-block indices of ``pbn``'s live pages (holds-aware triage).
+
+        ``None`` means "unknown": the holds-aware refresh triage then
+        falls back to the worst-physical-page prediction for the block.
+        """
         base = pbn * self._ppb
         return [
             ppn - base

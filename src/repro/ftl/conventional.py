@@ -8,11 +8,6 @@ position, so hot data lands on fast and slow pages uniformly — and hot
 and cold data mix freely within blocks, which is exactly the Fig. 3
 situation that motivates PPB.
 
-``separate_gc_stream=True`` upgrades the baseline with a dedicated GC
-active block (host and relocated data no longer mix).  That variant has
-an implicit age-based hot/cold separation, making it a *stronger*
-baseline than the paper's; it is kept for the ablation benches.
-
 On multi-chip devices the inherited chip-striped free pool rotates the
 active block across chips as blocks fill, and every device command the
 service path issues is chip-attributed through the
@@ -44,23 +39,10 @@ class ConventionalFTL(BaseFTL):
         self,
         device: NandDevice,
         victim_policy: VictimPolicy | None = None,
-        gc_low_blocks: int | None = None,
-        gc_high_blocks: int | None = None,
-        separate_gc_stream: bool = False,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
-        super().__init__(
-            device,
-            victim_policy,
-            gc_low_blocks,
-            gc_high_blocks,
-            reliability=reliability,
-            refresh=refresh,
-        )
-        self.separate_gc_stream = separate_gc_stream
-        if separate_gc_stream:
-            self.name = "conventional-2s"
+        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
         self._host_active: int | None = None
         self._gc_active: int | None = None
         # Multi-plane devices keep one append point per (chip, plane)
@@ -98,8 +80,6 @@ class ConventionalFTL(BaseFTL):
             # exhaust the pool mid-collect.
             if not ctx.is_gc:
                 return self._alloc_striped()
-            pbn = self._ensure_active("_gc_active")
-        elif ctx.is_gc and self.separate_gc_stream:
             pbn = self._ensure_active("_gc_active")
         else:
             pbn = self._ensure_active("_host_active")

@@ -59,6 +59,7 @@ from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.config import PPBConfig
     from repro.reliability.manager import ReliabilityManager
     from repro.reliability.refresh import RefreshPolicy
 
@@ -84,21 +85,12 @@ class DFTL(ConventionalFTL):
         self,
         device: NandDevice,
         victim_policy: VictimPolicy | None = None,
-        gc_low_blocks: int | None = None,
-        gc_high_blocks: int | None = None,
         mapping: MappingConfig | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
         self.mapping = mapping if mapping is not None else MappingConfig()
-        super().__init__(
-            device,
-            victim_policy,
-            gc_low_blocks,
-            gc_high_blocks,
-            reliability=reliability,
-            refresh=refresh,
-        )
+        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
         cfg = self.mapping
         #: mapping entries per translation page (the TVPN granularity).
         self._epp = cfg.resolve_entries_per_page(self.spec.page_size)
@@ -294,6 +286,17 @@ class DFTL(ConventionalFTL):
     @classmethod
     def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
         return {**super().open_blocks(spec), "translation point": 1}
+
+    @classmethod
+    def from_sections(
+        cls,
+        device: NandDevice,
+        ppb: "PPBConfig | None" = None,
+        reliability: "ReliabilityManager | None" = None,
+        refresh: "RefreshPolicy | None" = None,
+        mapping: MappingConfig | None = None,
+    ) -> DFTL:
+        return cls(device, mapping=mapping, reliability=reliability, refresh=refresh)
 
     def _active_blocks(self) -> set[int]:
         active = super()._active_blocks()

@@ -24,14 +24,15 @@ Reads consult the page map, which always points at the newest copy
 and :class:`~repro.ftl.blockinfo.BlockManager` used by the page-mapping
 FTLs back this implementation, so all invariants remain checkable.
 
-FAST also hosts the reliability stack through the shared
-:class:`~repro.ftl.reliability_hooks.ReliabilityHost` protocol: reads
-pay ECC retry penalties, programs/erases drive the retention and wear
-clocks, and refresh relocates at-risk blocks through the *merge*
-machinery (a data block refreshes via a full merge of its LBN; a full
-random log block refreshes via the same multi-LBN merge that reclaims
-it), so refresh inherits the data-integrity guarantees the merge tests
-already prove.
+Like every design here FAST is a :class:`~repro.ftl.base.BaseFTL`, so
+it inherits the map, the block manager, the accounting and the
+reliability stack: reads pay ECC retry penalties, programs/erases drive
+the retention and wear clocks, and refresh relocates at-risk blocks
+through the *merge* machinery (a data block refreshes via a full merge
+of its LBN; a full random log block refreshes via the same multi-LBN
+merge that reclaims it), so refresh inherits the data-integrity
+guarantees the merge tests already prove.  FAST never runs the
+inherited GC driver: merges reclaim its space.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import FtlError, OutOfSpaceError
-from repro.ftl.blockinfo import BlockManager, plane_groups, plane_striped_order
-from repro.ftl.mapping import UNMAPPED, PageMapTable
-from repro.ftl.reliability_hooks import ReliabilityHost
-from repro.ftl.stats import FtlStats
+from repro.ftl.base import BaseFTL
+from repro.ftl.mapping import UNMAPPED
 from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
@@ -52,7 +51,7 @@ if TYPE_CHECKING:  # imported lazily to keep repro.ftl free of cycles
     from repro.reliability.refresh import RefreshPolicy
 
 
-class FastFTL(ReliabilityHost):
+class FastFTL(BaseFTL):
     """Hybrid log-buffer FTL with switch / partial / full merges."""
 
     name = "fast"
@@ -60,40 +59,14 @@ class FastFTL(ReliabilityHost):
     def __init__(
         self,
         device: NandDevice,
-        num_log_blocks: int | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
-        self.device = device
-        self._init_reliability(reliability, refresh)
-        self.spec = device.spec
-        self.geometry = device.geometry
-        self.num_lpns = self.spec.logical_pages
+        super().__init__(device, reliability=reliability, refresh=refresh)
         pages = self.spec.pages_per_block
         self.pages_per_block = pages
         self.num_lbns = (self.num_lpns + pages - 1) // pages
-        self.map = PageMapTable(self.num_lpns, self.spec.total_pages)
-        # Chip-striped free order (identity on single-chip devices): log
-        # and data blocks rotate chips, spreading timed-mode chip load.
-        # Multi-plane devices also rotate planes via the grouped pool.
-        self.blocks = BlockManager(
-            self.spec.total_blocks,
-            pages,
-            free_order=plane_striped_order(
-                self.spec.total_blocks,
-                self.spec.blocks_per_chip,
-                self.spec.planes_per_chip,
-            ),
-            group_of=plane_groups(
-                self.spec.total_blocks,
-                self.spec.blocks_per_chip,
-                self.spec.planes_per_chip,
-            ),
-        )
-        self.stats = FtlStats()
-        if num_log_blocks is None:
-            num_log_blocks = self.default_log_blocks(self.spec)
-        self.num_log_blocks = num_log_blocks
+        self.log_blocks = self.default_log_blocks(self.spec)
         #: LBN -> data block PBN (or -1).
         self._data_block: dict[int, int] = {}
         #: FIFO of *full* random log blocks awaiting merge.
@@ -101,12 +74,11 @@ class FastFTL(ReliabilityHost):
         self._active_log: int | None = None
         #: (pbn, lbn) of the sequential log block, if one is open.
         self._seq_log: tuple[int, int] | None = None
-        self._op_sequence = 0
 
     @staticmethod
     def default_log_blocks(spec: NandSpec) -> int:
-        """Random log blocks, unless the caller sets them: half the
-        blocks no logical block needs, and at least four."""
+        """Random log blocks: half the blocks no logical block needs,
+        and at least four."""
         lbns = -(-spec.logical_pages // spec.pages_per_block)
         return max(4, (spec.total_blocks - lbns) // 2)
 
@@ -117,38 +89,16 @@ class FastFTL(ReliabilityHost):
         return {
             "log blocks": cls.default_log_blocks(spec),
             "sequential log": 1,
-            "GC reserve": 1,
+            **super().open_blocks(spec),
         }
 
     # ------------------------------------------------------------------
-    # Host API (same protocol as BaseFTL)
+    # Host API: writes go to the logs; reads and TRIM are BaseFTL's,
+    # restated only because perfbench's tracer wraps them here by name.
     # ------------------------------------------------------------------
 
     def host_read(self, lpn: int) -> float:
-        """Service a one-page host read; returns latency in microseconds.
-
-        With a reliability engine attached, the returned latency also
-        carries any ECC read-retry penalty of the physical page.
-        """
-        ftl_map = self.map
-        if not 0 <= lpn < ftl_map.num_lpns:
-            ftl_map.check_lpn(lpn)
-        self._op_sequence += 1
-        ppn = ftl_map.l2p[lpn]
-        if ppn == UNMAPPED:
-            self.stats.unmapped_reads += 1
-            return 0.0
-        latency = self.device.read_ppn(ppn)
-        reliability = self.reliability
-        if reliability is not None:
-            latency += self._reliability_read_penalty(ppn)
-        stats = self.stats
-        stats.host_read_pages += 1
-        stats.host_read_us += latency
-        if reliability is not None:
-            reliability.advance_us(latency)
-            self._maybe_refresh()
-        return latency
+        return super().host_read(lpn)
 
     def host_write(self, lpn: int, nbytes: int | None = None) -> float:
         """Service a one-page host write; returns latency (incl. merges)."""
@@ -181,19 +131,7 @@ class FastFTL(ReliabilityHost):
         return latency + merge_latency
 
     def trim(self, lpn: int) -> float:
-        """Host discard: unmap without a program; the copy dies in place.
-
-        Works for data-block *and* log-block copies alike — the mapping
-        table resolves to wherever the newest copy lives, and a later
-        merge simply finds one fewer live page to relocate.
-        """
-        self.map.check_lpn(lpn)
-        self._op_sequence += 1
-        old = self.map.unmap(lpn)
-        if old != UNMAPPED:
-            self.blocks.note_invalidate(self.geometry.pbn_of_ppn(old))
-            self.stats.trimmed_pages += 1
-        return 0.0
+        return super().trim(lpn)
 
     # ------------------------------------------------------------------
     # Sequential log handling
@@ -220,7 +158,7 @@ class FastFTL(ReliabilityHost):
         pbn, lbn = self._seq_log
         ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
-        self._commit(lpn, ppn)
+        self._commit_mapping(lpn, ppn)
         if self.device.is_block_full(pbn):
             self._switch_merge()
         return latency
@@ -282,12 +220,12 @@ class FastFTL(ReliabilityHost):
                 self.blocks.note_full(pbn)
                 self._log_fifo.append(pbn)
                 self._active_log = None
-            while len(self._log_fifo) >= self.num_log_blocks:
+            while len(self._log_fifo) >= self.log_blocks:
                 merge_latency += self._merge_oldest_log()
             pbn = self._active_log = self._allocate_block()
         ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
-        self._commit(lpn, ppn)
+        self._commit_mapping(lpn, ppn)
         return merge_latency, latency
 
     def _merge_oldest_log(self) -> float:
@@ -356,25 +294,12 @@ class FastFTL(ReliabilityHost):
     def _relocate(self, lpn: int, src_ppn: int, dst_ppn: int) -> float:
         """Copy one live page (GC-style copyback accounting)."""
         read_us, write_us = self.device.copy_page(src_ppn, dst_ppn)
-        self._commit(lpn, dst_ppn)
+        self._commit_mapping(lpn, dst_ppn)
         stats = self.stats
         stats.gc_copied_pages += 1
         stats.gc_read_us += read_us
         stats.gc_write_us += write_us
         return read_us + write_us
-
-    def _commit(self, lpn: int, ppn: int) -> None:
-        # ppn was just programmed (device bounds-checked); old was
-        # validated when it entered the map — plain divisions suffice.
-        pages = self.pages_per_block
-        old = self.map.remap(lpn, ppn)
-        blocks = self.blocks
-        blocks.note_program_valid(ppn // pages)
-        reliability = self.reliability
-        if reliability is not None:
-            reliability.note_program(ppn // pages)
-        if old != UNMAPPED:
-            blocks.note_invalidate(old // pages)
 
     def _retire_data_block(self, lbn: int) -> None:
         """Erase + release the LBN's old data block (now fully invalid)."""
@@ -403,7 +328,7 @@ class FastFTL(ReliabilityHost):
         return self.blocks.allocate()
 
     # ------------------------------------------------------------------
-    # ReliabilityHost contract: refresh rides the merge machinery
+    # Reliability hooks: refresh rides the merge machinery
     # ------------------------------------------------------------------
 
     def _active_blocks(self) -> set[int]:
@@ -418,6 +343,11 @@ class FastFTL(ReliabilityHost):
     def _refresh_headroom(self) -> int:
         """A merge transiently allocates one block; keep one spare."""
         return 1
+
+    def _held_pages(self, pbn: int) -> None:
+        """Unknown: the holds-aware triage falls back to the worst page
+        (log blocks hold copies the map alone cannot place cheaply)."""
+        return None
 
     def _refresh_block(self, pbn: int) -> float:
         """Rewrite ``pbn``'s live data through the merge paths and erase it.
@@ -438,21 +368,12 @@ class FastFTL(ReliabilityHost):
         return 0.0
 
     # ------------------------------------------------------------------
-    # Verification helpers
+    # Introspection
     # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Cross-check map and block accounting (test support)."""
-        self.map.check_consistency()
-        if self.blocks.total_valid() != self.map.mapped_count:
-            raise AssertionError(
-                f"valid-count total {self.blocks.total_valid()} != "
-                f"mapped LPNs {self.map.mapped_count}"
-            )
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""
         return (
-            f"{self.name} (lbns={self.num_lbns}, log_blocks={self.num_log_blocks}, "
+            f"{self.name} (lbns={self.num_lbns}, log_blocks={self.log_blocks}, "
             f"blocks={self.spec.total_blocks})"
         )

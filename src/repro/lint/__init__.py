@@ -7,7 +7,7 @@ DET001   no global-state / unseeded RNG (counter-based streams only)
 DET002   no wall-clock reads anywhere under ``src/repro``
 DET003   no ordering-sensitive consumption of unordered sets
 SPEC001  ScenarioSpec closure is frozen + round-trip serializable
-REG001   FTL registries (classes/factories/CLI/reliability) agree
+REG001   every BaseFTL subclass is in FTL_CLASSES; --ftl choices match it
 OPLOG001 device time billed only via the op-log command entry points
 ======== ==============================================================
 

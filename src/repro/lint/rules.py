@@ -605,11 +605,10 @@ class Spec001FrozenSpec(Rule):
 
 class Reg001Registries(Rule):
     id = "REG001"
-    title = "FTL registries (classes/factories/CLI/reliability) stay complete"
+    title = "every FTL is in FTL_CLASSES and the CLI --ftl choices match it"
     rationale = (
-        "A new FTL registered in one place but not the others produces a "
-        "device that sweeps cannot reach or a reliability guard that lies; "
-        "the registries are only safe when they agree."
+        "A BaseFTL subclass missing from FTL_CLASSES, or a --ftl choice list "
+        "that disagrees with it, is an FTL that sweeps or the CLI cannot reach."
     )
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
@@ -628,23 +627,6 @@ class Reg001Registries(Rule):
                 elif isinstance(value, ast.Attribute):
                     kinds[kind] = value.attr
 
-        factories = self._dict_keys(source.tree, "FTL_FACTORIES")
-        if factories is not None:
-            for kind in sorted(set(kinds) - set(factories)):
-                yield self.finding(
-                    source,
-                    classes_assign.lineno,
-                    f"FTL {kind!r} is in FTL_CLASSES but missing from "
-                    "FTL_FACTORIES",
-                )
-            for kind in sorted(set(factories) - set(kinds)):
-                yield self.finding(
-                    source,
-                    classes_assign.lineno,
-                    f"FTL {kind!r} is in FTL_FACTORIES but missing from "
-                    "FTL_CLASSES",
-                )
-
         # every concrete FTL class in the project must be registered
         registered = set(kinds.values())
         for name, info in sorted(project.classes.items()):
@@ -658,30 +640,6 @@ class Reg001Registries(Rule):
                     f"{name} subclasses BaseFTL but is not registered in "
                     "FTL_CLASSES",
                 )
-
-        # RELIABILITY_FTLS: fine when derived from FTL_CLASSES; a literal
-        # tuple must cover every registered ReliabilityHost subclass.
-        rel_assign = self._module_assign(source.tree, "RELIABILITY_FTLS")
-        if rel_assign is not None and isinstance(
-            rel_assign.value, (ast.Tuple, ast.List)
-        ):
-            listed = {
-                kind
-                for kind in (_const_str(el) for el in rel_assign.value.elts)
-                if kind is not None
-            }
-            for kind, class_name in sorted(kinds.items()):
-                if (
-                    project.is_subclass(class_name, "ReliabilityHost")
-                    and kind not in listed
-                ):
-                    yield self.finding(
-                        source,
-                        rel_assign.lineno,
-                        f"{class_name} hosts the reliability stack but "
-                        f"{kind!r} is missing from RELIABILITY_FTLS — derive "
-                        "the tuple from FTL_CLASSES instead of hand-listing",
-                    )
 
         # CLI choices for --ftl must match the registry exactly
         for other in project.files:
@@ -733,18 +691,6 @@ class Reg001Registries(Rule):
                 if isinstance(node.target, ast.Name) and node.target.id == name:
                     return node
         return None
-
-    def _dict_keys(self, tree: ast.AST, name: str) -> set[str] | None:
-        assign = self._module_assign(tree, name)
-        if assign is None or not isinstance(assign.value, ast.Dict):
-            return None
-        return {
-            key
-            for key in (
-                _const_str(k) for k in assign.value.keys if k is not None
-            )
-            if key is not None
-        }
 
 
 # ----------------------------------------------------------------------

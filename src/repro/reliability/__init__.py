@@ -37,7 +37,7 @@ model that composes with the existing simulator:
     A retention-aware refresh policy: blocks whose predicted worst-page
     retry count exceeds a budget are migrated (rewritten elsewhere and
     erased), resetting their retention clock.  Pluggable into any
-    :class:`~repro.ftl.base.BaseFTL` subclass (conventional and PPB).
+    :class:`~repro.ftl.base.BaseFTL` subclass (all four FTLs).
     With ``refresh_triage = "holds"`` the due test re-runs against the
     pages a block actually *holds* (live data), sparing blocks whose
     rot sits entirely on dead pages.

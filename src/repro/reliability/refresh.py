@@ -17,9 +17,9 @@ scan through either of two gates: it is *old* enough for retention to
 matter (``min_age_s``), or it has absorbed enough reads for read
 disturb to matter (``disturb_reads``, the second refresh trigger; see
 :mod:`repro.reliability.disturb`).  The *mechanics* half reuses the
-FTL's own relocation path through the shared
-:meth:`repro.ftl.reliability_hooks.ReliabilityHost._refresh_block`
-hook — GC collection for the page-mapping designs, merges for FAST — so
+FTL's own relocation path through the
+:meth:`repro.ftl.base.BaseFTL._refresh_block` hook — GC collection for
+the page-mapping designs, merges for FAST — so
 refresh inherits every data-integrity invariant those paths' tests
 already prove, and PPB's classification hooks naturally re-place
 refreshed data on speed-appropriate pages.

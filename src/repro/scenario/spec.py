@@ -199,7 +199,7 @@ class ScenarioSpec:
 
     # -- FTL / placement ------------------------------------------------
     #: "conventional", "fast", "ppb" or "dftl"
-    #: (see :data:`repro.sim.replay.FTL_FACTORIES`).
+    #: (see :data:`repro.sim.replay.FTL_CLASSES`).
     ftl: str = "conventional"
     #: PPB strategy knobs; only consulted by the "ppb" FTL.
     ppb: PPBConfig | None = None
@@ -283,11 +283,11 @@ class ScenarioSpec:
                     f"precondition entries must be PreconditionPhase, got {phase!r}"
                 )
         object.__setattr__(self, "precondition", phases)
-        from repro.sim.replay import FTL_CLASSES, FTL_FACTORIES  # deferred: import cycle
+        from repro.sim.replay import FTL_CLASSES  # deferred: import cycle
 
-        if self.ftl not in FTL_FACTORIES:
+        if self.ftl not in FTL_CLASSES:
             raise ConfigError(
-                f"unknown FTL {self.ftl!r}; choose from {sorted(FTL_FACTORIES)}"
+                f"unknown FTL {self.ftl!r}; choose from {sorted(FTL_CLASSES)}"
             )
         if self.mode not in VALID_MODES:
             raise ConfigError(

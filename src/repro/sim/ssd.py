@@ -66,7 +66,7 @@ from repro.traces.record import OPS, READ, TRIM, IORequest, Trace
 
 
 class FtlProtocol(Protocol):
-    """What the SSD needs from an FTL (BaseFTL and FastFTL both comply)."""
+    """What the SSD needs from an FTL (every BaseFTL complies)."""
 
     name: str
     num_lpns: int

@@ -22,6 +22,7 @@ class TestDefaults:
     def test_minimum_capacities_on_tiny_devices(self):
         config = PPBConfig()
         assert config.hot_list_capacity(10) == config.min_list_entries
+        assert config.iron_list_capacity(10) == config.min_list_entries
         assert config.freq_table_capacity(10) == config.min_list_entries
 
 

@@ -19,6 +19,7 @@ class TestClassification:
     def test_fresh_write_is_icy(self):
         table = AccessFrequencyTable(capacity=8)
         table.on_write(1)
+        assert 1 in table
         assert table.level_of(1) is HotnessLevel.ICY_COLD
 
     def test_read_promotes_to_cold(self):

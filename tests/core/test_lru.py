@@ -26,6 +26,12 @@ class TestWritePath:
         lru.on_write(1)  # update of iron-hot data
         assert lru.level_of(1) is HotnessLevel.IRON_HOT
 
+    def test_hot_write_reports_its_level(self, lru):
+        # PPB places a hot write by the level on_hot_write returns
+        assert lru.on_hot_write(1) == (HotnessLevel.HOT, [])
+        lru.on_read(1)
+        assert lru.on_hot_write(1) == (HotnessLevel.IRON_HOT, [])
+
     def test_hot_overflow_evicts_lru(self, lru):
         for lpn in range(4):
             lru.on_write(lpn)

@@ -69,13 +69,13 @@ class TestClassificationFlow:
         ftl.host_write(0, nbytes=1024)
         ftl.host_write(0, nbytes=ftl.spec.page_size * 2)
         assert ftl.current_level(0) is HotnessLevel.ICY_COLD
-        assert 0 not in ftl.hot_area
+        assert 0 not in ftl._lru
 
     def test_reclassification_cold_to_hot(self, ftl):
         ftl.host_write(0, nbytes=ftl.spec.page_size * 2)
         ftl.host_write(0, nbytes=1024)
         assert ftl.current_level(0) is HotnessLevel.HOT
-        assert 0 not in ftl.cold_area
+        assert 0 not in ftl._freq
 
 
 class TestAreaSeparation:
@@ -97,7 +97,7 @@ class TestAreaSeparation:
         the next victim) and defeats any LRU-based scheme — real
         workloads are Zipf-skewed, which keeps the head resident.
         """
-        iron_capacity = ftl.hot_area.lru.iron_capacity
+        iron_capacity = ftl._lru.iron_capacity
         working_set = list(range(min(12, iron_capacity - 2)))
         session_set = list(range(100, 200))
         rng = np.random.default_rng(0)
@@ -178,15 +178,6 @@ class TestConfigVariants:
         ftl.check_invariants()
         for lpn, seq in oracle.items():
             assert ftl.device.tag(ftl.map.ppn_of(lpn)) == (lpn, seq)
-
-    def test_separate_gc_icy_preserves_data(self):
-        config = PPBConfig(separate_gc_icy=True)
-        ftl = PPBFTL(NandDevice(tiny_spec()), config=config)
-        oracle = _churn(ftl, 8000, seed=5)
-        ftl.check_invariants()
-        for lpn, seq in oracle.items():
-            assert ftl.device.tag(ftl.map.ppn_of(lpn)) == (lpn, seq)
-        assert ftl.gc_icy_allocator is not None
 
     @pytest.mark.parametrize("identifier", ["two_level_lru", "multi_hash"])
     def test_alternative_identifiers(self, identifier):

@@ -130,24 +130,6 @@ class TestOracle:
             assert ftl.device.tag(ftl.map.ppn_of(lpn)) == (lpn, seq)
 
 
-class TestTwoStreamVariant:
-    def test_separate_gc_stream_also_safe(self):
-        ftl = ConventionalFTL(NandDevice(tiny_spec()), separate_gc_stream=True)
-        rng = np.random.default_rng(5)
-        oracle: dict[int, int] = {}
-        for _ in range(12_000):
-            lpn = int(rng.integers(0, ftl.num_lpns))
-            if rng.random() < 0.6:
-                ftl.host_write(lpn)
-                oracle[lpn] = ftl._op_sequence
-            elif lpn in oracle:
-                ftl.host_read(lpn)
-        ftl.check_invariants()
-        for lpn, seq in oracle.items():
-            assert ftl.device.tag(ftl.map.ppn_of(lpn)) == (lpn, seq)
-        assert ftl.name == "conventional-2s"
-
-
 class TestPlaneStriping:
     """Multi-plane devices stripe writes across per-plane append points."""
 

@@ -16,7 +16,7 @@ from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec, sim_spec, tiny_spec
 from repro.reliability.manager import ReliabilityManager
 from repro.reliability.refresh import RefreshPolicy
-from repro.sim.replay import FTL_CLASSES, FTL_FACTORIES, RELIABILITY_FTLS, make_ftl
+from repro.sim.replay import make_ftl
 
 #: a small cache on the tiny device: misses, evictions and translation
 #: GC are all live under a few hundred operations.
@@ -209,11 +209,6 @@ class TestTerabyteScale:
 
 
 class TestRegistration:
-    def test_registered_everywhere(self):
-        assert "dftl" in FTL_CLASSES and "dftl" in FTL_FACTORIES
-        assert FTL_CLASSES["dftl"] is DFTL
-        assert "dftl" in RELIABILITY_FTLS  # derived via ReliabilityHost
-
     def test_make_ftl_passes_mapping_through(self):
         ftl = make_ftl(
             "dftl", NandDevice(tiny_spec()), mapping=MappingConfig(cache_entries=9)

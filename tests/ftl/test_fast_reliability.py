@@ -1,4 +1,4 @@
-"""FastFTL under the reliability stack (the shared hook protocol).
+"""FastFTL under the reliability stack (hosted through BaseFTL).
 
 Two anchor properties, mirroring the BaseFTL ones:
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ftl.fast import FastFTL
-from repro.ftl.reliability_hooks import ReliableFtl
+from repro.ftl.base import BaseFTL
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 from repro.reliability.manager import ReliabilityConfig, ReliabilityManager
@@ -50,7 +50,7 @@ def drive(ftl, seed: int, ops: int = 6_000) -> None:
 class TestProtocol:
     def test_fast_satisfies_reliable_ftl(self):
         ftl = FastFTL(NandDevice(tiny_spec()))
-        assert isinstance(ftl, ReliableFtl)
+        assert isinstance(ftl, BaseFTL)
         assert ftl.reliability is None
         assert ftl.refresh is None
 

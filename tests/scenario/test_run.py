@@ -116,40 +116,3 @@ class TestWorkerPoolReuse:
         runner = ReplayRunner()
         runner.run_many([SMOKE.with_(seed=1), SMOKE.with_(seed=2)])
         assert runner._pool is None
-
-
-class TestRelFtlsDerivation:
-    def test_reliability_ftls_derived_from_hook_protocol(self):
-        """The capability list tracks the mixin, not a hand-kept tuple."""
-        from repro.ftl.reliability_hooks import ReliabilityHost
-        from repro.sim.replay import FTL_CLASSES, RELIABILITY_FTLS
-
-        expected = tuple(
-            kind
-            for kind, cls in FTL_CLASSES.items()
-            if issubclass(cls, ReliabilityHost)
-        )
-        assert RELIABILITY_FTLS == expected
-        # today every registered FTL hosts the stack
-        assert set(RELIABILITY_FTLS) == set(FTL_CLASSES)
-
-    def test_non_host_ftl_would_be_rejected(self, monkeypatch):
-        """The make_ftl guard is reachable for mixin-less registrations."""
-        import repro.sim.replay as replay_mod
-        from repro.errors import ConfigError
-        from repro.nand.device import NandDevice
-        from repro.nand.spec import tiny_spec
-        from repro.reliability.manager import ReliabilityManager
-
-        class BareFtl:  # no ReliabilityHost mixin
-            def __init__(self, device, **kwargs):
-                pass
-
-        monkeypatch.setitem(
-            replay_mod.FTL_FACTORIES, "bare", lambda d, p, rel, ref, mapping: BareFtl(d)
-        )
-        device = NandDevice(tiny_spec())
-        assert isinstance(replay_mod.make_ftl("bare", device), BareFtl)
-        manager = ReliabilityManager(device, ReliabilityConfig())
-        with pytest.raises(ConfigError, match="does not support the reliability"):
-            replay_mod.make_ftl("bare", device, reliability=manager)

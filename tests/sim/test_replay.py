@@ -1,14 +1,20 @@
 """Tests for the FTL registry and replaying a prebuilt trace."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PPBConfig
 from repro.errors import ConfigError
+from repro.ftl.base import BaseFTL
+from repro.ftl.mapping import UNMAPPED
+from repro.ftl.transmap import MappingConfig
 from repro.nand.spec import tiny_spec
 from repro.nand.device import NandDevice
+from repro.reliability.manager import ReliabilityManager
+from repro.reliability.refresh import RefreshPolicy
 from repro.scenario.run import execute_scenario
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.replay import make_ftl
+from repro.sim.replay import FTL_CLASSES, make_ftl
 from repro.traces.workloads import UniformWorkload
 
 
@@ -36,6 +42,39 @@ class TestMakeFtl:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_ftl("bogus", NandDevice(tiny_spec()))
+
+
+class TestRegistryContract:
+    """Every registered FTL is a BaseFTL, is built from any scenario's
+    sections, and returns the last-written version of each page."""
+
+    @pytest.mark.parametrize("kind", sorted(FTL_CLASSES))
+    def test_registered_design_keeps_its_data(self, kind):
+        assert issubclass(FTL_CLASSES[kind], BaseFTL)
+        device = NandDevice(tiny_spec())
+        manager = ReliabilityManager(device)
+        ftl = make_ftl(kind, device, PPBConfig(), manager, RefreshPolicy(manager), MappingConfig())
+        assert type(ftl) is FTL_CLASSES[kind]
+        rng = np.random.default_rng(11)
+        oracle: dict[int, int] = {}
+        for _ in range(4000):
+            lpn = int(rng.integers(0, ftl.num_lpns))
+            r = rng.random()
+            if r < 0.55:
+                ftl.host_write(lpn)
+                oracle[lpn] = ftl._op_sequence
+            elif r < 0.65:
+                ftl.trim(lpn)
+                oracle.pop(lpn, None)
+            else:
+                ftl.host_read(lpn)
+        ftl.check_invariants()
+        for lpn in range(ftl.num_lpns):
+            ppn = ftl.map.ppn_of(lpn)
+            if lpn in oracle:
+                assert device.tag(ppn) == (lpn, oracle[lpn])
+            else:
+                assert ppn == UNMAPPED
 
 
 def _replay(trace, ftl, warm_fill_fraction=0.9):
