@@ -1,11 +1,18 @@
-"""Golden CLI output: the reliability and placement sweep files.
+"""Golden CLI output: the reliability and placement sweep files, and
+the dotted-path listing.
 
-The files under ``tests/golden/data/`` pin what ``repro scenario run``
-prints for ``reliability_sweep.toml`` and ``placement_frontier.toml``
-at smoke size, narrowed to one speed ratio: every simulated number and
-the memo's hit/miss line.  Their measured numbers (read latencies,
-retries, erases, refreshed blocks, fast-page reads, diverts) are the
-ones the sweeps have printed since before the scenario engine existed.
+The ``cli_*_smoke.txt`` files under ``tests/golden/data/`` pin what
+``repro scenario run`` prints for ``reliability_sweep.toml`` and
+``placement_frontier.toml`` at smoke size, narrowed to one speed ratio:
+every simulated number and the memo's hit/miss line.  Their measured
+numbers (read latencies, retries, erases, refreshed blocks, fast-page
+reads, diverts) are the ones the sweeps have printed since before the
+scenario engine existed.
+
+The ``cli_paths_*.txt`` files pin ``repro scenario paths``: every
+sweepable dotted path with its type and default, for the stock spec
+and for ``multi_tenant.toml`` (the one committed file with tenants and
+preconditioning phases).
 
 Regenerate only when a change is *meant* to alter results::
 
@@ -18,6 +25,11 @@ Regenerate only when a change is *meant* to alter results::
         --set device.speed_ratio=2 --set workload_kwargs.zipf_theta=0.5,0.95 \\
         --set ppb.reliability_weight=0,8 \\
         > tests/golden/data/cli_placement_smoke.txt
+    PYTHONPATH=src python -m repro scenario paths \\
+        > tests/golden/data/cli_paths_default.txt
+    PYTHONPATH=src python -m repro scenario paths \\
+        --spec examples/scenarios/multi_tenant.toml \\
+        > tests/golden/data/cli_paths_multi_tenant.txt
 """
 
 import os
@@ -45,6 +57,11 @@ CASES = {
         "--set", "workload_kwargs.zipf_theta=0.5,0.95",
         "--set", "ppb.reliability_weight=0,8",
     ],
+    "cli_paths_default.txt": ["scenario", "paths"],
+    "cli_paths_multi_tenant.txt": [
+        "scenario", "paths",
+        "--spec", os.path.join(SCENARIO_DIR, "multi_tenant.toml"),
+    ],
 }
 
 
@@ -58,9 +75,10 @@ def test_cli_output_is_byte_identical(golden_name, capsys):
 
 
 def test_goldens_predate_the_scenario_engine():
-    """Both goldens exist and are non-trivial (guards against an empty
-    capture silently passing the equality test).  Their measured
-    numbers are the ones first captured before the scenario engine."""
+    """Every golden exists and is non-trivial (guards against an empty
+    capture silently passing the equality test).  The two run goldens'
+    measured numbers are the ones first captured before the scenario
+    engine."""
     for name in CASES:
         path = os.path.join(DATA_DIR, name)
         assert os.path.getsize(path) > 500, f"{name} looks truncated"
