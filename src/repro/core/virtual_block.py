@@ -167,7 +167,3 @@ class VirtualBlockManager:
         if vb.index + 1 < len(vbs):
             return vbs[vb.index + 1]
         return None
-
-    def carved_count(self) -> int:
-        """Number of blocks currently carved (diagnostics)."""
-        return len(self._carved)

@@ -33,10 +33,6 @@ class ReadFreePageError(NandError):
     """A read targeted a page that has not been programmed since erase."""
 
 
-class ProgramTwiceError(NandError):
-    """A program command targeted an already-programmed page (erase-before-write)."""
-
-
 class FtlError(ReproError):
     """Base class for flash-translation-layer violations."""
 

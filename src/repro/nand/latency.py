@@ -159,11 +159,6 @@ class LatencyModel:
         t = float(np.mean(self.read_us_by_page))
         return t + self._page_transfer_us if include_transfer else t
 
-    def mean_program_us(self, include_transfer: bool = True) -> float:
-        """Mean program latency over all page positions in a block."""
-        t = float(np.mean(self.program_us_by_page))
-        return t + self._page_transfer_us if include_transfer else t
-
     def fastest_page_read_us(self) -> float:
         """Array read latency of the fastest (bottom-layer) page."""
         return float(self.read_us_by_page.min())

@@ -199,16 +199,6 @@ class NandSpec:
         """
         return self.blocks_per_chip // self.planes_per_chip
 
-    @property
-    def pages_per_layer(self) -> int:
-        """How many consecutive page indices share one gate stack layer.
-
-        When ``pages_per_block`` is not an exact multiple of ``num_layers``
-        the first layers absorb the remainder; :meth:`layer_of_page`
-        handles the exact mapping.
-        """
-        return max(1, self.pages_per_block // self.num_layers)
-
     def layer_of_page(self, page_index: int) -> int:
         """Map a page index inside a block to its gate stack layer.
 

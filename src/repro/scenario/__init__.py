@@ -50,7 +50,6 @@ from repro.scenario.sweep import (
     list_paths,
     parse_scalar,
     parse_set_arg,
-    set_path,
     set_paths,
     sweep,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "save_scenario_file",
-    "set_path",
     "set_paths",
     "spec_from_dict",
     "spec_from_json",

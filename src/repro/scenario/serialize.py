@@ -1,14 +1,25 @@
 """Lossless (de)serialization of :class:`ScenarioSpec`: dicts, JSON, TOML.
 
+The :func:`spec_to_dict` form is the spec's one plain representation:
+JSON and TOML are text views of it, and every dotted-path operation of
+:mod:`repro.scenario.sweep` (reading, ``--set``, ``[[sweep]]`` axes)
+edits it and rebuilds through :func:`spec_from_dict`.  Both directions
+are driven by the dataclasses' type hints — a field hinted with a
+config dataclass (``NandSpec``, ``ReliabilityConfig | None``, ...) is a
+table, ``tuple[Entry, ...]`` is a list of tables (``tenants``,
+``precondition``) and the ``workload_kwargs`` item tuple is a free-form
+table — so a new section needs no registration here.
+
 The contract the property tests pin:
 
 * ``spec_from_dict(spec_to_dict(s)) == s`` for every valid spec
   (identity through plain dicts, and therefore through JSON and TOML,
   whose readers produce exactly these dicts);
 * unknown or misspelled keys raise :class:`~repro.errors.ConfigError`
-  naming the offending **dotted path** (``reliability.base_rberr``),
-  never a bare ``TypeError`` from a dataclass constructor — and
-  out-of-range values (``arrival.scale = 0``) die with the field's own
+  naming the offending **dotted path** (``reliability.base_rberr``,
+  ``tenants[1].shar``) in one wording at every level, never a bare
+  ``TypeError`` from a dataclass constructor — and out-of-range values
+  (``arrival.scale = 0``) die with the field's own
   :class:`ConfigError` from spec validation;
 * values are coerced only where the file format is lossy (TOML/JSON
   readers may hand an ``int`` where a float field is meant — ``2`` for
@@ -25,39 +36,52 @@ run, one with axes expands to the cross-product via
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
 from dataclasses import dataclass, field
 
-from repro.core.config import PPBConfig
 from repro.errors import ConfigError
-from repro.ftl.transmap import MappingConfig
-from repro.nand.spec import NandSpec
-from repro.reliability.faults import FaultSpec
-from repro.reliability.manager import ReliabilityConfig
-from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
-from repro.scenario.sweep import SweepAxis
-from repro.sim.arrival import ArrivalSpec
+from repro.scenario.spec import ScenarioSpec
+
+if typing.TYPE_CHECKING:
+    from repro.scenario.sweep import SweepAxis
 
 #: keys a scenario *file* may carry beyond the spec fields.
 FILE_ONLY_KEYS = ("name", "description", "sweep")
 
-#: nested sections and their dataclass types.
-_SECTIONS = {
-    "device": NandSpec,
-    "ppb": PPBConfig,
-    "reliability": ReliabilityConfig,
-    "mapping": MappingConfig,
-    "faults": FaultSpec,
-    "arrival": ArrivalSpec,
-}
 
-#: repeated sections (lists of sub-specs) and their element types.
-_LIST_SECTIONS = {
-    "tenants": TenantSpec,
-    "precondition": PreconditionPhase,
-}
+# ----------------------------------------------------------------------
+# type-hint classification (what is a section, a list, a kwargs table)
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _field_hints(cls: type) -> typing.Mapping[str, typing.Any]:
+    """Resolved type hint of every field of a spec dataclass, in field
+    order (read-only: one cached mapping serves every caller)."""
+    hints = typing.get_type_hints(cls)
+    return types.MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)})
+
+
+def _field_kind(hint: object) -> tuple[str, typing.Any]:
+    """Classify a field hint as ``(kind, inner)``.
+
+    ``("section", cls)`` for a config dataclass, optional or not;
+    ``("entries", cls)`` for ``tuple[cls, ...]``; ``("kwargs", value
+    hint)`` for a ``workload_kwargs`` item tuple; else ``("scalar",
+    None)``.  SPEC001 keeps every hint in the spec's closure to these.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return "section", hint
+    if typing.get_origin(hint) is tuple:
+        inner = typing.get_args(hint)[0]
+        if dataclasses.is_dataclass(inner):
+            return "entries", inner
+        return "kwargs", typing.get_args(inner)[1]
+    return "scalar", None
 
 
 # ----------------------------------------------------------------------
@@ -67,39 +91,28 @@ _LIST_SECTIONS = {
 def spec_to_dict(spec: ScenarioSpec) -> dict:
     """A plain, JSON/TOML-ready dict: nested configs become tables.
 
-    Fields that are ``None`` (an absent optional section or knob) are
+    Fields that are ``None`` (an absent optional section or knob) and
+    empty ``workload_kwargs`` / ``tenants`` / ``precondition`` are
     omitted — TOML has no null, and ``spec_from_dict`` restores them.
     """
-    out: dict[str, object] = {}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if value is None:
-            continue
-        if f.name == "workload_kwargs":
-            if value:
-                out[f.name] = dict(value)
-            continue
-        if f.name in _LIST_SECTIONS:
-            if value:
-                out[f.name] = [_subspec_to_dict(item) for item in value]
-            continue
-        if dataclasses.is_dataclass(value):
-            out[f.name] = dataclasses.asdict(value)
-            continue
-        out[f.name] = value
-    return out
+    return _to_dict(spec)
 
 
-def _subspec_to_dict(item: TenantSpec | PreconditionPhase) -> dict:
-    """Dict form of a tenant / preconditioning phase entry."""
+def _to_dict(obj: object) -> dict:
     out: dict[str, object] = {}
-    for f in dataclasses.fields(item):
-        value = getattr(item, f.name)
-        if f.name == "workload_kwargs":
-            if value:
-                out[f.name] = dict(value)
+    for name, hint in _field_hints(type(obj)).items():
+        value = getattr(obj, name)
+        kind, _ = _field_kind(hint)
+        if value is None or (kind in ("entries", "kwargs") and not value):
             continue
-        out[f.name] = value
+        if kind == "section":
+            out[name] = _to_dict(value)
+        elif kind == "entries":
+            out[name] = [_to_dict(item) for item in value]
+        elif kind == "kwargs":
+            out[name] = dict(value)
+        else:
+            out[name] = value
     return out
 
 
@@ -107,56 +120,44 @@ def spec_from_dict(data: typing.Mapping) -> ScenarioSpec:
     """Rebuild a spec from :func:`spec_to_dict` output (or a hand-written
     config); raises :class:`ConfigError` naming the dotted path of any
     unknown key or ill-typed value."""
+    return _from_dict(ScenarioSpec, data, "")
+
+
+def _from_dict(cls: type, data: object, path: str) -> typing.Any:
+    """Strictly rebuild ``cls`` (the spec, a section or an entry) from
+    its dict form; ``path`` is its dotted location for error messages."""
     if not isinstance(data, typing.Mapping):
-        raise ConfigError(f"scenario must be a mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(ScenarioSpec)
-    known = {f.name for f in dataclasses.fields(ScenarioSpec)}
+        raise ConfigError(
+            f"{path or 'scenario'} must be a table/mapping, got {type(data).__name__}"
+        )
+    hints = _field_hints(cls)
     kwargs: dict[str, object] = {}
     for key, value in data.items():
-        if key not in known:
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
             raise ConfigError(
-                f"unknown scenario field {key!r}; known fields: {sorted(known)}"
+                f"unknown scenario field {where!r}; known fields here: {sorted(hints)}"
             )
-        if key in _SECTIONS:
-            kwargs[key] = _dataclass_from_dict(_SECTIONS[key], value, path=key)
-        elif key in _LIST_SECTIONS:
-            kwargs[key] = _subspecs_from(_LIST_SECTIONS[key], value, path=key)
-        elif key == "workload_kwargs":
-            kwargs[key] = _workload_kwargs_from(value)
-        else:
-            kwargs[key] = _coerce(value, hints[key], path=key)
-    return ScenarioSpec(**kwargs)  # type: ignore[arg-type]
-
-
-def _subspecs_from(cls: type, value: object, path: str) -> tuple:
-    """Rebuild a ``tenants`` / ``precondition`` list of sub-specs."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(
-            f"{path} must be a list of tables, got {type(value).__name__}"
-        )
-    out = []
-    for i, entry in enumerate(value):
-        where = f"{path}[{i}]"
-        if not isinstance(entry, typing.Mapping):
-            raise ConfigError(f"{where} must be a table/mapping, got {entry!r}")
-        hints = typing.get_type_hints(cls)
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs: dict[str, object] = {}
-        for key, val in entry.items():
-            if key not in known:
+        kind, inner = _field_kind(hints[key])
+        if kind == "section":
+            kwargs[key] = _from_dict(inner, value, where)
+        elif kind == "entries":
+            if not isinstance(value, (list, tuple)):
                 raise ConfigError(
-                    f"unknown field {where}.{key}; known fields: {sorted(known)}"
+                    f"{where} must be a list of tables, got {type(value).__name__}"
                 )
-            if key == "workload_kwargs":
-                kwargs[key] = _workload_kwargs_from(val, path=f"{where}.{key}")
-            else:
-                kwargs[key] = _coerce(val, hints[key], path=f"{where}.{key}")
-        out.append(cls(**kwargs))
-    return tuple(out)
+            kwargs[key] = tuple(
+                _from_dict(inner, entry, f"{where}[{i}]") for i, entry in enumerate(value)
+            )
+        elif kind == "kwargs":
+            kwargs[key] = _workload_kwargs_from(value, where)
+        else:
+            kwargs[key] = _coerce(value, hints[key], where)
+    return cls(**kwargs)
 
 
 def _workload_kwargs_from(
-    value: object, path: str = "workload_kwargs"
+    value: object, path: str
 ) -> tuple[tuple[str, int | float | str | bool], ...]:
     if isinstance(value, typing.Mapping):
         items = list(value.items())
@@ -182,22 +183,6 @@ def _workload_kwargs_from(
             )
         out.append((name, val))
     return tuple(out)
-
-
-def _dataclass_from_dict(cls: type, data: object, path: str) -> object:
-    """Generic strict dataclass rebuild with dotted-path errors."""
-    if not isinstance(data, typing.Mapping):
-        raise ConfigError(f"{path} must be a table/mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs: dict[str, object] = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(
-                f"unknown field {path}.{key}; known fields of {path}: {sorted(known)}"
-            )
-        kwargs[key] = _coerce(value, hints[key], path=f"{path}.{key}")
-    return cls(**kwargs)
 
 
 def _coerce(value: object, hint: object, path: str) -> object:
@@ -232,8 +217,26 @@ def _coerce(value: object, hint: object, path: str) -> object:
 
 
 # ----------------------------------------------------------------------
-# JSON
+# JSON and TOML text
 # ----------------------------------------------------------------------
+
+def _decode(text: str, fmt: str, source: str) -> typing.Any:
+    """Parse TOML or JSON text into plain data; malformed text raises
+    :class:`ConfigError` naming ``source`` and the format."""
+    if fmt == "toml":
+        import tomllib  # deferred: only file loading pays its import
+
+        try:
+            return tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigError(f"{source}: invalid TOML: {exc}") from None
+    if fmt == "json":
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: invalid JSON: {exc}") from None
+    raise ConfigError(f"unknown scenario file format {fmt!r} (toml or json)")
+
 
 def spec_to_json(spec: ScenarioSpec, indent: int = 2) -> str:
     """JSON text of :func:`spec_to_dict`."""
@@ -242,16 +245,8 @@ def spec_to_json(spec: ScenarioSpec, indent: int = 2) -> str:
 
 def spec_from_json(text: str) -> ScenarioSpec:
     """Parse :func:`spec_to_json` output (or any JSON scenario)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid scenario JSON: {exc}") from None
-    return spec_from_dict(data)
+    return spec_from_dict(_decode(text, "json", "<scenario>"))
 
-
-# ----------------------------------------------------------------------
-# TOML
-# ----------------------------------------------------------------------
 
 def _toml_scalar(value: object) -> str:
     if isinstance(value, bool):
@@ -309,13 +304,7 @@ def spec_to_toml(spec: ScenarioSpec) -> str:
 
 def spec_from_toml(text: str) -> ScenarioSpec:
     """Parse :func:`spec_to_toml` output (or any TOML scenario)."""
-    import tomllib
-
-    try:
-        data = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigError(f"invalid scenario TOML: {exc}") from None
-    return spec_from_dict(data)
+    return spec_from_dict(_decode(text, "toml", "<scenario>"))
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +355,7 @@ def _split_file_keys(data: dict, source: str) -> _RawFile:
 
 
 def _axes_from(axes_data: tuple, base: ScenarioSpec, source: str) -> tuple[SweepAxis, ...]:
-    from repro.scenario.sweep import get_path
+    from repro.scenario.sweep import SweepAxis, get_path
 
     axes = []
     for i, entry in enumerate(axes_data):
@@ -390,20 +379,7 @@ def _axes_from(axes_data: tuple, base: ScenarioSpec, source: str) -> tuple[Sweep
 
 def parse_scenario_file(text: str, *, fmt: str, source: str = "<scenario>") -> ScenarioFile:
     """Parse scenario-file text (``fmt`` is ``"toml"`` or ``"json"``)."""
-    if fmt == "toml":
-        import tomllib
-
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigError(f"{source}: invalid TOML: {exc}") from None
-    elif fmt == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: invalid JSON: {exc}") from None
-    else:
-        raise ConfigError(f"unknown scenario file format {fmt!r} (toml or json)")
+    data = _decode(text, fmt, source)
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: scenario file must be a table/object at top level")
     raw = _split_file_keys(data, source)

@@ -254,9 +254,7 @@ class ScenarioSpec:
             "workload_kwargs",
             _normalize_kwargs(self.workload_kwargs, "workload_kwargs"),
         )
-        tenants = tuple(
-            TenantSpec(**t) if isinstance(t, dict) else t for t in self.tenants
-        )
+        tenants = tuple(self.tenants)
         for tenant in tenants:
             if not isinstance(tenant, TenantSpec):
                 raise ConfigError(f"tenants entries must be TenantSpec, got {tenant!r}")
@@ -273,10 +271,7 @@ class ScenarioSpec:
                     f"partition of the {self.footprint_bytes}-byte footprint, below "
                     f"the {MIN_FOOTPRINT_BYTES}-byte workload floor"
                 )
-        phases = tuple(
-            PreconditionPhase(**p) if isinstance(p, dict) else p
-            for p in self.precondition
-        )
+        phases = tuple(self.precondition)
         for phase in phases:
             if not isinstance(phase, PreconditionPhase):
                 raise ConfigError(

@@ -9,48 +9,45 @@ and the values to try::
     SweepAxis("reliability.base_rber", (1e-4, 2e-4))
     SweepAxis("ppb.reliability_weight", (0.0, 2.0, 8.0))
     SweepAxis("workload_kwargs.zipf_theta", (0.5, 0.95))
+    SweepAxis("tenants.db.share", (1.0, 2.0))
     SweepAxis("reread_age_s", (0.0, 2.6e6))
-    SweepAxis("arrival.scale", (1.0, 4.0, 16.0))
     SweepAxis("arrival.queue_depth", (1, 4, 16, 64))
+
+One path engine serves every reader and writer of these paths —
+:func:`get_path`, :func:`set_paths` (``--set``), :func:`sweep`
+(``[[sweep]]`` axes) and the scenario-file loader.  It resolves a path
+in the spec's :func:`~repro.scenario.serialize.spec_to_dict` form,
+checking each segment against the type hints of the class at that
+level: a segment after ``tenants`` / ``precondition`` selects an entry
+by index or tenant name, and ``workload_kwargs.<key>`` addresses one
+generator kwarg.  Writes are assigned into that dict and the spec is
+rebuilt (and revalidated) once through
+:func:`~repro.scenario.serialize.spec_from_dict`.  A path under an
+absent optional section reads and writes that section's defaults, so
+``--set reliability.base_rber=2e-4`` alone turns the stack on.
 
 :func:`sweep` expands a base spec and axes into the cross-product (first
 axis outermost, values in the order given), each element a frozen
 :class:`ScenarioSpec` ready for the memoized
-:class:`~repro.scenario.memo.ReplayRunner`.  Setting a path under ``ppb``
-or ``reliability`` on a spec where that section is ``None``
-instantiates the section's defaults first, so
-``--set reliability.base_rber=2e-4`` alone turns the stack on.
+:class:`~repro.scenario.memo.ReplayRunner`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import types
 import typing
 from dataclasses import dataclass
 
-from repro.core.config import PPBConfig
 from repro.errors import ConfigError
-from repro.ftl.transmap import MappingConfig
-from repro.reliability.faults import FaultSpec
-from repro.reliability.manager import ReliabilityConfig
+from repro.scenario.serialize import (
+    _field_hints,
+    _field_kind,
+    _to_dict,
+    spec_from_dict,
+    spec_to_dict,
+)
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.arrival import ArrivalSpec
-
-#: optional sections auto-created (with defaults) when a sweep sets a
-#: path beneath them.
-_AUTO_SECTIONS = {
-    "ppb": PPBConfig,
-    "reliability": ReliabilityConfig,
-    "mapping": MappingConfig,
-    "faults": FaultSpec,
-    "arrival": ArrivalSpec,
-}
-
-#: repeated sections addressed by element: ``tenants.0.num_requests`` by
-#: index, or ``tenants.db.num_requests`` by tenant name.
-_LIST_FIELDS = ("tenants", "precondition")
 
 
 @dataclass(frozen=True)
@@ -78,41 +75,72 @@ class SweepAxis:
 # dotted-path access
 # ----------------------------------------------------------------------
 
-def _field_names(obj: object) -> set[str]:
-    return {f.name for f in dataclasses.fields(obj)}
-
-
-def _element_index(items: tuple, selector: str, dotted: str) -> int:
-    """Resolve a ``tenants``/``precondition`` element selector: a
-    0-based index, or (tenants) the tenant's name."""
-    if not items:
+def _entry_index(entries: list, selector: str, dotted: str) -> int:
+    """Resolve a ``tenants``/``precondition`` entry selector: a 0-based
+    index, or (tenants) the tenant's name."""
+    if not entries:
         raise ConfigError(f"{dotted!r}: the spec has no entries to select from")
     try:
         index = int(selector)
     except ValueError:
-        for i, item in enumerate(items):
-            if getattr(item, "name", None) == selector:
-                return i
-        names = [getattr(item, "name", None) for item in items]
+        names = [entry.get("name") for entry in entries]
+        if selector in names:
+            return names.index(selector)
         known = [n for n in names if n is not None]
         raise ConfigError(
             f"{dotted}.{selector}: no entry named {selector!r}; "
-            f"use an index 0..{len(items) - 1}"
+            f"use an index 0..{len(entries) - 1}"
             + (f" or a name from {sorted(known)}" if known else "")
         ) from None
-    if not 0 <= index < len(items):
+    if not 0 <= index < len(entries):
         raise ConfigError(
-            f"{dotted}.{selector}: index out of range (have {len(items)} entries)"
+            f"{dotted}.{selector}: index out of range (have {len(entries)} entries)"
         )
     return index
 
 
-def _has_kwargs_field(obj: object) -> bool:
-    """Whether ``obj`` carries a ``workload_kwargs`` tuple (the spec
-    itself, a tenant, or a preconditioning phase)."""
-    return dataclasses.is_dataclass(obj) and not isinstance(obj, type) and (
-        "workload_kwargs" in _field_names(obj)
-    )
+def _locate(data: dict, path: str) -> tuple[typing.Any, typing.Any, object]:
+    """Resolve a dotted path in a spec's :func:`spec_to_dict` form.
+
+    Returns ``(table, key, hint)``: the dict (or, for a whole entry, the
+    entry list) holding the addressed value, its key there, and the
+    value's type hint.  Each segment is checked against the fields of
+    the class at its level, and an absent optional section is filled in
+    with its defaults on the way down.
+    """
+    parts = path.split(".")
+    table: typing.Any = data
+    cls: typing.Any = ScenarioSpec
+    i = 0
+    while True:
+        dotted = ".".join(parts[: i + 1])
+        hints = _field_hints(cls)
+        if parts[i] not in hints:
+            raise ConfigError(
+                f"unknown scenario field {dotted!r}; known fields here: {sorted(hints)}"
+            )
+        key, hint, rest = parts[i], hints[parts[i]], parts[i + 1 :]
+        if not rest:
+            return table, key, hint
+        kind, inner = _field_kind(hint)
+        if kind == "scalar":
+            raise ConfigError(f"cannot descend into {dotted!r}: not a config section")
+        if kind == "kwargs":
+            if len(rest) != 1:
+                raise ConfigError(
+                    f"workload_kwargs paths have exactly one key segment, got {path!r}"
+                )
+            return table.setdefault(key, {}), rest[0], inner
+        if kind == "section":
+            if key not in table:
+                table[key] = _to_dict(inner())
+            table, cls, i = table[key], inner, i + 1
+            continue
+        entries = table.get(key, [])
+        index = _entry_index(entries, rest[0], dotted)
+        if len(rest) == 1:
+            return entries, index, inner
+        table, cls, i = entries[index], inner, i + 2
 
 
 def get_path(spec: ScenarioSpec, path: str) -> object:
@@ -120,146 +148,11 @@ def get_path(spec: ScenarioSpec, path: str) -> object:
 
     A path under an absent optional section (``ppb.vb_split`` while
     ``ppb`` is None) reads the section's *default* value — the value the
-    engine would effectively use once the section is instantiated.
+    engine would effectively use once the section is instantiated.  A
+    section or entry path reads its dict form.
     """
-    obj: object = spec
-    walked: list[str] = []
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        walked.append(part)
-        if obj is None and walked[:-1] and walked[-2] in _AUTO_SECTIONS:
-            obj = _AUTO_SECTIONS[walked[-2]]()
-        if isinstance(obj, tuple) and walked[:-1] and walked[-2] in _LIST_FIELDS:
-            # This segment selects one tenant / preconditioning phase.
-            obj = obj[_element_index(obj, part, ".".join(walked[:-1]))]
-            continue
-        if part == "workload_kwargs" and _has_kwargs_field(obj) and i + 1 < len(parts):
-            kwargs = dict(obj.workload_kwargs)
-            key = parts[i + 1]
-            if len(parts) != i + 2:
-                raise ConfigError(
-                    f"workload_kwargs paths have exactly one key segment, got {path!r}"
-                )
-            return kwargs.get(key)
-        if not dataclasses.is_dataclass(obj):
-            raise ConfigError(
-                f"cannot descend into {'.'.join(walked[:-1])!r}: not a config section"
-            )
-        if part not in _field_names(obj):
-            raise ConfigError(
-                f"unknown scenario field {'.'.join(walked)!r}; "
-                f"known fields here: {sorted(_field_names(obj))}"
-            )
-        obj = getattr(obj, part)
-    return obj
-
-
-def set_path(spec: ScenarioSpec, path: str, value: object) -> ScenarioSpec:
-    """A copy of ``spec`` with the field at ``path`` replaced.
-
-    Values are coerced against the field's declared type (so ``"2"``
-    from a CLI ``--set`` or an int from TOML lands as the float the
-    field wants); the rebuilt spec re-runs every validation, so an
-    out-of-range value raises the usual :class:`ConfigError`.
-    """
-    parts = path.split(".")
-    return _set_in(spec, parts, value, walked=[])
-
-
-def _set_in(obj: object, parts: list[str], value: object, walked: list[str]) -> object:
-    from repro.scenario.serialize import _coerce
-
-    head, rest = parts[0], parts[1:]
-    dotted = ".".join(walked + [head])
-    if head == "workload_kwargs" and _has_kwargs_field(obj) and rest:
-        if len(rest) != 1:
-            raise ConfigError(
-                f"workload_kwargs paths have exactly one key segment, got {dotted + '.' + '.'.join(rest)!r}"
-            )
-        if not isinstance(value, (int, float, str, bool)):
-            raise ConfigError(
-                f"{dotted}.{rest[0]} must be int/float/str/bool, got {value!r}"
-            )
-        kwargs = dict(obj.workload_kwargs)
-        kwargs[rest[0]] = value
-        return dataclasses.replace(obj, workload_kwargs=tuple(kwargs.items()))
-    if head in _LIST_FIELDS and isinstance(obj, ScenarioSpec) and rest:
-        entries = getattr(obj, head)
-        index = _element_index(entries, rest[0], dotted)
-        if len(rest) == 1:
-            raise ConfigError(
-                f"{dotted}.{rest[0]!r} is a config section, not a sweepable "
-                f"scalar; sweep one of its fields (e.g. {dotted}.{rest[0]}.<field>)"
-            )
-        element = _set_in(entries[index], rest[1:], value, walked + [head, rest[0]])
-        rebuilt = entries[:index] + (element,) + entries[index + 1:]
-        return dataclasses.replace(obj, **{head: rebuilt})
-    if not dataclasses.is_dataclass(obj):
-        raise ConfigError(
-            f"cannot descend into {'.'.join(walked)!r}: not a config section"
-        )
-    if head not in _field_names(obj):
-        raise ConfigError(
-            f"unknown scenario field {dotted!r}; "
-            f"known fields here: {sorted(_field_names(obj))}"
-        )
-    if not rest:
-        hint = typing.get_type_hints(type(obj))[head]
-        if _is_section_hint(hint):
-            raise ConfigError(
-                f"{dotted!r} is a config section, not a sweepable scalar; "
-                f"sweep one of its fields (e.g. {dotted}.<field>)"
-            )
-        return dataclasses.replace(obj, **{head: _coerce(value, hint, path=dotted)})
-    child = getattr(obj, head)
-    if child is None and head in _AUTO_SECTIONS:
-        child = _AUTO_SECTIONS[head]()
-    new_child = _set_in(child, rest, value, walked + [head])
-    return dataclasses.replace(obj, **{head: new_child})
-
-
-def _is_section_hint(hint: object) -> bool:
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_is_section_hint(a) for a in typing.get_args(hint))
-    if origin is tuple:  # tenants / precondition tuples
-        return any(dataclasses.is_dataclass(a) for a in typing.get_args(hint))
-    return dataclasses.is_dataclass(hint)
-
-
-def _dict_list_entry(node: list, selector: str, dotted: str) -> dict:
-    """Element of a ``tenants``/``precondition`` list in dict form."""
-    try:
-        index = int(selector)
-    except ValueError:
-        for entry in node:
-            if isinstance(entry, dict) and entry.get("name") == selector:
-                return entry
-        raise ConfigError(f"{dotted}: no entry named {selector!r}") from None
-    if not 0 <= index < len(node):
-        raise ConfigError(f"{dotted}: index out of range (have {len(node)} entries)")
-    return node[index]
-
-
-def _set_in_dict(data: dict, path: str, value: object) -> None:
-    """Set a dotted path in a :func:`spec_to_dict`-shaped plain dict."""
-    parts = path.split(".")
-    node = data
-    for i, part in enumerate(parts[:-1]):
-        dotted = ".".join(parts[: i + 1])
-        if isinstance(node, list):
-            node = _dict_list_entry(node, part, dotted)
-        else:
-            node = node.setdefault(part, {})
-        if not isinstance(node, (dict, list)):
-            raise ConfigError(
-                f"cannot descend into {dotted!r}: not a config section"
-            )
-    if isinstance(node, list):
-        raise ConfigError(
-            f"{path!r} selects a whole entry, not a sweepable scalar"
-        )
-    node[parts[-1]] = value
+    table, key, _ = _locate(spec_to_dict(spec), path)
+    return table[key] if isinstance(table, list) else table.get(key)
 
 
 def set_paths(
@@ -267,20 +160,28 @@ def set_paths(
 ) -> ScenarioSpec:
     """A copy of ``spec`` with several dotted paths replaced **at once**.
 
-    Unlike chaining :func:`set_path`, the edits are folded into the
-    spec's dict form and validated only once, on the final spec — so a
+    Every path is resolved against ``spec`` itself before any value is
+    assigned, and the result is validated only once, as a whole — so
+    the edits are independent of the order they are listed in: a
     combination that is only valid *together* (``reread_age_s`` plus
-    the ``reliability`` section that permits it) works regardless of
-    the order the edits are listed in.
+    the ``reliability`` section that permits it) works, and renaming a
+    tenant does not break another edit that selects it by its old name.
+    Values are coerced against the field's declared type (an int lands
+    as the float a float field wants), and an out-of-range value raises
+    the usual :class:`ConfigError`.
     """
-    from repro.scenario.serialize import spec_from_dict, spec_to_dict
-
-    items = list(items)
-    for path, _ in items:
-        get_path(spec, path)  # path existence, with the dotted-name error
     data = spec_to_dict(spec)
+    targets: list[tuple[typing.Any, typing.Any, object]] = []
     for path, value in items:
-        _set_in_dict(data, path, value)
+        table, key, hint = _locate(data, path)
+        if _field_kind(hint)[0] != "scalar":
+            raise ConfigError(
+                f"{path!r} is a config section, not a sweepable scalar; "
+                f"sweep one of its fields (e.g. {path}.<field>)"
+            )
+        targets.append((table, key, value))
+    for table, key, value in targets:
+        table[key] = value
     return spec_from_dict(data)
 
 
@@ -359,36 +260,26 @@ def list_paths(spec: ScenarioSpec | None = None) -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, str]] = []
 
     def describe(obj: object, prefix: str) -> None:
-        hints = typing.get_type_hints(type(obj))
-        for f in dataclasses.fields(obj):
-            path = f"{prefix}{f.name}"
-            value = getattr(obj, f.name)
-            hint = hints[f.name]
-            if f.name == "workload_kwargs":
+        for name, hint in _field_hints(type(obj)).items():
+            path = f"{prefix}{name}"
+            value = getattr(obj, name)
+            kind, inner = _field_kind(hint)
+            if kind == "kwargs":
                 for key, val in value:
-                    rows.append((f"{path}.{key}", type(val).__name__,
-                                 _value_label(val)))
+                    rows.append((f"{path}.{key}", type(val).__name__, _value_label(val)))
                 if not value:
-                    rows.append((f"{path}.<key>", "int | float | str | bool",
-                                 "(workload-specific)"))
-                continue
-            if f.name in _LIST_FIELDS:
+                    rows.append((f"{path}.<key>", _hint_label(inner), "(workload-specific)"))
+            elif kind == "entries":
                 for i, item in enumerate(value):
-                    name = getattr(item, "name", None)
-                    selector = name if name is not None else str(i)
+                    selector = getattr(item, "name", i)
                     describe(item, f"{path}.{selector}.")
                 if not value:
-                    rows.append((f"{path}.<{'name' if f.name == 'tenants' else 'index'}>.…",
-                                 "table", "(none configured)"))
-                continue
-            if value is None and f.name in _AUTO_SECTIONS:
-                value = _AUTO_SECTIONS[f.name]()
-            if dataclasses.is_dataclass(value):
-                describe(value, f"{path}.")
-                continue
-            if _is_section_hint(hint):
-                continue  # absent non-auto section (trace_path etc. are scalars)
-            rows.append((path, _hint_label(hint), _value_label(value)))
+                    selector = "name" if "name" in _field_hints(inner) else "index"
+                    rows.append((f"{path}.<{selector}>.…", "table", "(none configured)"))
+            elif kind == "section":
+                describe(inner() if value is None else value, f"{path}.")
+            else:
+                rows.append((path, _hint_label(hint), _value_label(value)))
 
     describe(spec, "")
     return rows

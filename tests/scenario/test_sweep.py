@@ -1,9 +1,13 @@
 """Dotted-path access and cross-product expansion."""
 
+import os
+import typing
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.reliability.manager import ReliabilityConfig
+from repro.scenario.serialize import load_scenario_file
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
 from repro.scenario.sweep import (
     SweepAxis,
@@ -12,19 +16,19 @@ from repro.scenario.sweep import (
     list_paths,
     parse_scalar,
     parse_set_arg,
-    set_path,
+    set_paths,
     sweep,
 )
 
 
 class TestGetSetPath:
     def test_top_level_field(self):
-        spec = set_path(ScenarioSpec(), "seed", 7)
+        spec = set_paths(ScenarioSpec(), [("seed", 7)])
         assert spec.seed == 7
         assert get_path(spec, "seed") == 7
 
     def test_nested_device_field(self):
-        spec = set_path(ScenarioSpec(), "device.speed_ratio", 4)
+        spec = set_paths(ScenarioSpec(), [("device.speed_ratio", 4)])
         assert spec.device.speed_ratio == 4.0
         assert isinstance(spec.device.speed_ratio, float)  # coerced
         assert get_path(spec, "device.speed_ratio") == 4.0
@@ -32,9 +36,9 @@ class TestGetSetPath:
     def test_setting_under_absent_section_instantiates_defaults(self):
         spec = ScenarioSpec()
         assert spec.reliability is None
-        swept = set_path(spec, "reliability.base_rber", 1e-4)
+        swept = set_paths(spec, [("reliability.base_rber", 1e-4)])
         assert swept.reliability == ReliabilityConfig(base_rber=1e-4)
-        swept = set_path(spec, "ppb.reliability_weight", 2.0)
+        swept = set_paths(spec, [("ppb.reliability_weight", 2.0)])
         assert swept.ppb is not None and swept.ppb.reliability_weight == 2.0
 
     def test_get_under_absent_section_reads_the_default(self):
@@ -43,27 +47,27 @@ class TestGetSetPath:
         )
 
     def test_workload_kwargs_path(self):
-        spec = set_path(ScenarioSpec(), "workload_kwargs.zipf_theta", 0.95)
+        spec = set_paths(ScenarioSpec(), [("workload_kwargs.zipf_theta", 0.95)])
         assert spec.workload_kwargs == (("zipf_theta", 0.95),)
         assert get_path(spec, "workload_kwargs.zipf_theta") == 0.95
 
     def test_unknown_path_names_the_dotted_field(self):
         with pytest.raises(ConfigError, match=r"device\.speed_ratioo"):
-            set_path(ScenarioSpec(), "device.speed_ratioo", 2.0)
+            set_paths(ScenarioSpec(), [("device.speed_ratioo", 2.0)])
         with pytest.raises(ConfigError, match="sede"):
             get_path(ScenarioSpec(), "sede")
 
     def test_cannot_set_a_whole_section(self):
         with pytest.raises(ConfigError, match="config section"):
-            set_path(ScenarioSpec(), "device", 2.0)
+            set_paths(ScenarioSpec(), [("device", 2.0)])
 
     def test_cannot_descend_into_a_scalar(self):
         with pytest.raises(ConfigError, match="cannot descend"):
-            set_path(ScenarioSpec(), "seed.deeper", 2)
+            set_paths(ScenarioSpec(), [("seed.deeper", 2)])
 
     def test_set_revalidates_the_spec(self):
         with pytest.raises(ConfigError, match="speed_ratio"):
-            set_path(ScenarioSpec(), "device.speed_ratio", 0.25)
+            set_paths(ScenarioSpec(), [("device.speed_ratio", 0.25)])
 
 
 class TestSweepExpansion:
@@ -142,6 +146,15 @@ class TestBatchSetPaths:
             spec = set_paths(ScenarioSpec(), order)
             assert spec.reread_age_s == 86400.0
             assert spec.reliability is not None
+        # Selectors resolve against the input spec, so renaming a tenant
+        # does not orphan another edit that names it.
+        for order in (
+            [("tenants.db.name", "x"), ("tenants.db.share", 3.0)],
+            [("tenants.db.share", 3.0), ("tenants.db.name", "x")],
+        ):
+            spec = set_paths(TENANTED, order)
+            assert (spec.tenants[0].name, spec.tenants[0].share) == ("x", 3.0)
+            assert spec.tenants[1] == TENANTED.tenants[1]
 
     def test_set_paths_rejects_unknown_paths_before_mutating(self):
         from repro.scenario.sweep import set_paths
@@ -164,6 +177,8 @@ class TestBatchSetPaths:
             sweep(ScenarioSpec(), [SweepAxis("reread_age_s", (0.0, 86400.0))])
 
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "scenarios")
+
 #: two-tenant base for the list-path tests.
 TENANTED = ScenarioSpec(
     tenants=(
@@ -181,17 +196,17 @@ class TestTenantPaths:
         assert get_path(TENANTED, "precondition.0.num_requests") == 1000
 
     def test_set_by_name_rebuilds_the_tuple(self):
-        swept = set_path(TENANTED, "tenants.logger.share", 2.0)
+        swept = set_paths(TENANTED, [("tenants.logger.share", 2.0)])
         assert swept.tenants[1].share == 2.0
         assert swept.tenants[0] == TENANTED.tenants[0]  # untouched
         assert TENANTED.tenants[1].share == 0.5  # original intact
 
     def test_set_by_index(self):
-        swept = set_path(TENANTED, "tenants.0.num_requests", 50)
+        swept = set_paths(TENANTED, [("tenants.0.num_requests", 50)])
         assert swept.tenants[0].num_requests == 50
 
     def test_tenant_kwargs_path(self):
-        swept = set_path(TENANTED, "tenants.logger.workload_kwargs.read_fraction", 0.2)
+        swept = set_paths(TENANTED, [("tenants.logger.workload_kwargs.read_fraction", 0.2)])
         assert dict(swept.tenants[1].workload_kwargs) == {"read_fraction": 0.2}
         assert get_path(swept, "tenants.logger.workload_kwargs.read_fraction") == 0.2
 
@@ -213,15 +228,15 @@ class TestTenantPaths:
 
     def test_cannot_set_a_whole_tenant(self):
         with pytest.raises(ConfigError, match="config section"):
-            set_path(TENANTED, "tenants.0", 2.0)
+            set_paths(TENANTED, [("tenants.0", 2.0)])
 
     def test_unknown_tenant_field_names_the_path(self):
         with pytest.raises(ConfigError, match="shar"):
-            set_path(TENANTED, "tenants.db.shar", 2.0)
+            set_paths(TENANTED, [("tenants.db.shar", 2.0)])
 
     def test_set_revalidates_tenant_invariants(self):
         with pytest.raises(ConfigError, match="share"):
-            set_path(TENANTED, "tenants.db.share", -1.0)
+            set_paths(TENANTED, [("tenants.db.share", -1.0)])
 
 
 class TestListPaths:
@@ -243,10 +258,28 @@ class TestListPaths:
         assert "precondition.0.num_requests" in paths
 
     def test_every_concrete_path_round_trips_through_get(self):
-        for path, _, _ in list_paths(TENANTED):
-            if "<" in path:
-                continue  # placeholder rows are documentation, not paths
-            get_path(TENANTED, path)  # must not raise
+        """Every listed path reads, and writing the read value back is
+        the identity — except that a path under an absent optional
+        section attaches that section with its defaults."""
+        bases = {"TENANTED": TENANTED, "ScenarioSpec()": ScenarioSpec()}
+        for name in sorted(os.listdir(SCENARIO_DIR)):
+            if name.endswith(".toml"):
+                bases[name] = load_scenario_file(os.path.join(SCENARIO_DIR, name)).base
+        assert len(bases) > 2
+        failures = []
+        for label, base in bases.items():
+            for path, _, _ in list_paths(base):
+                if "<" in path:
+                    continue  # placeholder rows are documentation, not paths
+                section = path.split(".", 1)[0]
+                expected = base
+                if "." in path and getattr(base, section) is None:
+                    hint = typing.get_type_hints(ScenarioSpec)[section]
+                    defaults = next(a for a in typing.get_args(hint) if a is not type(None))
+                    expected = base.with_(**{section: defaults()})
+                if set_paths(base, [(path, get_path(base, path))]) != expected:
+                    failures.append(f"{label}: {path}")
+        assert failures == []
 
     def test_rows_carry_type_and_default(self):
         rows = {path: (kind, default) for path, kind, default in list_paths(TENANTED)}
@@ -259,7 +292,7 @@ class TestArrivalAxis:
     """The [arrival] section is sweepable and auto-attached."""
 
     def test_set_path_auto_attaches_the_section(self):
-        spec = set_path(ScenarioSpec(mode="timed"), "arrival.queue_depth", 16)
+        spec = set_paths(ScenarioSpec(mode="timed"), [("arrival.queue_depth", 16)])
         assert spec.arrival is not None
         assert spec.arrival.queue_depth == 16
         assert get_path(spec, "arrival.queue_depth") == 16
@@ -286,7 +319,7 @@ class TestArrivalAxis:
 
     def test_bad_arrival_path_names_itself(self):
         with pytest.raises(ConfigError, match=r"arrival\.queue_dpeth"):
-            set_path(ScenarioSpec(mode="timed"), "arrival.queue_dpeth", 4)
+            set_paths(ScenarioSpec(mode="timed"), [("arrival.queue_dpeth", 4)])
 
     def test_list_paths_documents_the_section(self):
         paths = [path for path, _, _ in list_paths(ScenarioSpec())]
