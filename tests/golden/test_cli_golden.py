@@ -1,5 +1,5 @@
-"""Golden CLI output: the reliability and placement sweep files, and
-the dotted-path listing.
+"""Golden CLI output: the reliability and placement sweep files, the
+two timed saturation files, and the dotted-path listing.
 
 The ``cli_*_smoke.txt`` files under ``tests/golden/data/`` pin what
 ``repro scenario run`` prints for ``reliability_sweep.toml`` and
@@ -8,6 +8,13 @@ every simulated number and the memo's hit/miss line.  Their measured
 numbers (read latencies, retries, erases, refreshed blocks, fast-page
 reads, diverts) are the ones the sweeps have printed since before the
 scenario engine existed.
+
+The ``cli_qd_smoke.txt`` and ``cli_queueing_smoke.txt`` files pin the
+timed mode's event calendar end to end: ``qd_saturation.toml`` (closed
+loop, QD 1/16/64, on 1- and 4-plane devices) and
+``queueing_saturation.toml`` (open loop through 64 host-queue slots, at
+native and 16x load, per FTL), both narrowed to about a second.  Every
+percentile column moves if one calendar entry runs out of order.
 
 The ``cli_paths_*.txt`` files pin ``repro scenario paths``: every
 sweepable dotted path with its type and default, for the stock spec
@@ -25,6 +32,15 @@ Regenerate only when a change is *meant* to alter results::
         --set device.speed_ratio=2 --set workload_kwargs.zipf_theta=0.5,0.95 \\
         --set ppb.reliability_weight=0,8 \\
         > tests/golden/data/cli_placement_smoke.txt
+    PYTHONPATH=src python -m repro scenario run \\
+        examples/scenarios/qd_saturation.toml --smoke \\
+        --set device.planes_per_chip=1,4 --set arrival.queue_depth=1,16,64 \\
+        > tests/golden/data/cli_qd_smoke.txt
+    PYTHONPATH=src python -m repro scenario run \\
+        examples/scenarios/queueing_saturation.toml --smoke \\
+        --set device.speed_ratio=2 --set arrival.scale=1,16 \\
+        --set arrival.queue_depth=64 \\
+        > tests/golden/data/cli_queueing_smoke.txt
     PYTHONPATH=src python -m repro scenario paths \\
         > tests/golden/data/cli_paths_default.txt
     PYTHONPATH=src python -m repro scenario paths \\
@@ -57,6 +73,21 @@ CASES = {
         "--set", "workload_kwargs.zipf_theta=0.5,0.95",
         "--set", "ppb.reliability_weight=0,8",
     ],
+    "cli_qd_smoke.txt": [
+        "scenario", "run",
+        os.path.join(SCENARIO_DIR, "qd_saturation.toml"),
+        "--smoke",
+        "--set", "device.planes_per_chip=1,4",
+        "--set", "arrival.queue_depth=1,16,64",
+    ],
+    "cli_queueing_smoke.txt": [
+        "scenario", "run",
+        os.path.join(SCENARIO_DIR, "queueing_saturation.toml"),
+        "--smoke",
+        "--set", "device.speed_ratio=2",
+        "--set", "arrival.scale=1,16",
+        "--set", "arrival.queue_depth=64",
+    ],
     "cli_paths_default.txt": ["scenario", "paths"],
     "cli_paths_multi_tenant.txt": [
         "scenario", "paths",
@@ -76,9 +107,9 @@ def test_cli_output_is_byte_identical(golden_name, capsys):
 
 def test_goldens_predate_the_scenario_engine():
     """Every golden exists and is non-trivial (guards against an empty
-    capture silently passing the equality test).  The two run goldens'
-    measured numbers are the ones first captured before the scenario
-    engine."""
+    capture silently passing the equality test).  The reliability and
+    placement goldens' measured numbers are the ones first captured
+    before the scenario engine."""
     for name in CASES:
         path = os.path.join(DATA_DIR, name)
         assert os.path.getsize(path) > 500, f"{name} looks truncated"
