@@ -262,9 +262,7 @@ class PPBFTL(BaseFTL):
         for vb in vbs:
             if page < vb.end_page:
                 break
-        write_ptr = self._write_ptr
-        fill = write_ptr[pbn] if write_ptr is not None else self.device.next_page(pbn)
-        if fill < vb.end_page:
+        if self._write_ptr[pbn] < vb.end_page:
             return
         self._owner_of(pbn).note_programmed(vb)
 

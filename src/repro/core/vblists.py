@@ -83,20 +83,9 @@ class AreaAllocator:
         #: pages per block, hoisted for the per-write PPN arithmetic.
         self._ppb = device.spec.pages_per_block
         self._pipelined = discipline == "pipelined"
-        #: direct view of the chip write pointers (single-chip devices:
-        #: flat PBN == in-chip block), so the per-alloc fill checks are
-        #: one list index instead of a device -> chip delegation chain.
-        #: None on multi-chip devices — those fall back to next_page().
-        self._write_ptr: list[int] | None = (
-            device.chips[0].write_ptr if device.spec.num_chips == 1 else None
-        )
-
-    def _fill_of(self, pbn: int) -> int:
-        """The block's write pointer (next programmable page index)."""
-        write_ptr = self._write_ptr
-        if write_ptr is not None:
-            return write_ptr[pbn]
-        return self.device.next_page(pbn)
+        #: the device's write pointers, indexed by flat PBN, so the
+        #: per-alloc fill checks are one list index.
+        self._write_ptr = device.write_ptr
 
     # ------------------------------------------------------------------
     # Allocation
@@ -108,7 +97,7 @@ class AreaAllocator:
             vb = self._alloc_pipelined(want_fast)
         else:
             vb = self._alloc_strict(want_fast)
-        page = self._fill_of(vb.pbn)
+        page = self._write_ptr[vb.pbn]
         if not vb.start_page <= page < vb.end_page:
             raise VirtualBlockError(
                 f"{self.area.value} area: write pointer {page} escaped {vb}"
@@ -163,7 +152,7 @@ class AreaAllocator:
         if (
             active is not None
             and active.state is VBState.ALLOCATED
-            and self._fill_of(active.pbn) < active.end_page
+            and self._write_ptr[active.pbn] < active.end_page
         ):
             return active
         pending = self._pending[is_fast]
@@ -198,7 +187,7 @@ class AreaAllocator:
         """
         if vb.area is not self.area:
             raise VirtualBlockError(f"{vb} does not belong to the {self.area.value} area")
-        if self._fill_of(vb.pbn) < vb.end_page:
+        if self._write_ptr[vb.pbn] < vb.end_page:
             return
         vb.state = VBState.USED
         if self._active[vb.is_fast] is vb:
@@ -222,7 +211,7 @@ class AreaAllocator:
         if (
             active is not None
             and active.state is VBState.ALLOCATED
-            and self._fill_of(active.pbn) < active.end_page
+            and self._write_ptr[active.pbn] < active.end_page
         ):
             return active.pbn
         pending = self._pending[is_fast]
@@ -243,7 +232,7 @@ class AreaAllocator:
         if (
             active is not None
             and active.state is VBState.ALLOCATED
-            and self._fill_of(active.pbn) < active.end_page
+            and self._write_ptr[active.pbn] < active.end_page
         ):
             return True
         return bool(self._pending[is_fast])

@@ -136,11 +136,8 @@ class BaseFTL:
         cls = type(self)
         self._has_read_hook = cls._on_host_read is not BaseFTL._on_host_read
         self._has_write_hook = cls._on_host_write is not BaseFTL._on_host_write
-        #: direct view of the chip write pointers on single-chip devices
-        #: (flat PBN == in-chip block); None on multi-chip devices.
-        self._write_ptr: list[int] | None = (
-            device.chips[0].write_ptr if self.spec.num_chips == 1 else None
-        )
+        #: the device's write pointers, indexed by flat PBN.
+        self._write_ptr = device.write_ptr
 
     @classmethod
     def open_blocks(cls, spec: NandSpec) -> dict[str, int]:
@@ -240,12 +237,7 @@ class BaseFTL:
         stats = self.stats
         stats.host_write_pages += 1
         stats.host_write_us += latency
-        write_ptr = self._write_ptr
-        if (
-            write_ptr[pbn] == self._ppb
-            if write_ptr is not None
-            else self.device.is_block_full(pbn)
-        ):
+        if self._write_ptr[pbn] == self._ppb:
             blocks.note_full(pbn)
             self.victim_policy.note_block_written(pbn, float(self._op_sequence))
             self._on_block_full(pbn)
@@ -301,12 +293,7 @@ class BaseFTL:
     def _note_if_full(self, ppn: int) -> None:
         """Flip the owning block to FULL when its last page was programmed."""
         pbn = ppn // self._ppb
-        write_ptr = self._write_ptr
-        if write_ptr is not None:
-            full = write_ptr[pbn] == self._ppb
-        else:
-            full = self.device.is_block_full(pbn)
-        if full:
+        if self._write_ptr[pbn] == self._ppb:
             self.blocks.note_full(pbn)
             self.victim_policy.note_block_written(pbn, float(self._op_sequence))
             self._on_block_full(pbn)

@@ -83,7 +83,7 @@ class ConventionalFTL(BaseFTL):
             pbn = self._ensure_active("_gc_active")
         else:
             pbn = self._ensure_active("_host_active")
-        return pbn * self._ppb + self.device.next_page(pbn)
+        return pbn * self._ppb + self._write_ptr[pbn]
 
     def _alloc_striped(self) -> int:
         """Rotate the host append point across (chip, plane) slots."""
@@ -91,15 +91,15 @@ class ConventionalFTL(BaseFTL):
         slot = self._host_cursor
         self._host_cursor = (slot + 1) % len(slots)
         pbn = slots[slot]
-        if pbn is None or self.device.is_block_full(pbn):
+        if pbn is None or self._write_ptr[pbn] == self._ppb:
             pbn = self.blocks.allocate_in_group(slot)
             slots[slot] = pbn
-        return pbn * self._ppb + self.device.next_page(pbn)
+        return pbn * self._ppb + self._write_ptr[pbn]
 
     def _ensure_active(self, attr: str) -> int:
         """Return the stream's active block, opening a new one if needed."""
         pbn: int | None = getattr(self, attr)
-        if pbn is None or self.device.is_block_full(pbn):
+        if pbn is None or self._write_ptr[pbn] == self._ppb:
             pbn = self.blocks.allocate()
             setattr(self, attr, pbn)
         return pbn

@@ -271,13 +271,13 @@ class DFTL(ConventionalFTL):
         """Next free page of the translation active block (+ GC stall)."""
         stall = 0.0
         pbn = self._trans_active
-        if pbn is None or self.device.is_block_full(pbn):
+        if pbn is None or self._write_ptr[pbn] == self._ppb:
             if not self._in_collect and self.blocks.free_count <= self.gc_low_blocks:
                 stall = self._ensure_space()
             pbn = self.blocks.allocate()
             self.blocks.set_klass(pbn, TRANS_KLASS)
             self._trans_active = pbn
-        return pbn * self._ppb + self.device.next_page(pbn), stall
+        return pbn * self._ppb + self._write_ptr[pbn], stall
 
     # ------------------------------------------------------------------
     # Active blocks / GC dispatch

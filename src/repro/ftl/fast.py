@@ -115,7 +115,7 @@ class FastFTL(BaseFTL):
         elif (
             seq_log is not None
             and seq_log[1] == lbn
-            and self.device.next_page(seq_log[0]) == offset
+            and self._write_ptr[seq_log[0]] == offset
         ):
             latency = self._append_seq(lpn)
         else:
@@ -156,10 +156,10 @@ class FastFTL(BaseFTL):
         if self._seq_log is None:
             raise FtlError("sequential append without an open sequential log")
         pbn, lbn = self._seq_log
-        ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
+        ppn = pbn * self.pages_per_block + self._write_ptr[pbn]
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         self._commit_mapping(lpn, ppn)
-        if self.device.is_block_full(pbn):
+        if self._write_ptr[pbn] == self._ppb:
             self._switch_merge()
         return latency
 
@@ -187,7 +187,7 @@ class FastFTL(BaseFTL):
         self._seq_log = None
         latency = 0.0
         base_lpn = lbn * self.pages_per_block
-        start = self.device.next_page(pbn)
+        start = self._write_ptr[pbn]
         block_base = self.geometry.first_ppn_of_pbn(pbn)
         l2p = self.map.l2p
         pages = self.pages_per_block
@@ -215,7 +215,7 @@ class FastFTL(BaseFTL):
         """Append to the random log; returns (merge latency, program latency)."""
         merge_latency = 0.0
         pbn = self._active_log
-        if pbn is None or self.device.is_block_full(pbn):
+        if pbn is None or self._write_ptr[pbn] == self._ppb:
             if pbn is not None:
                 self.blocks.note_full(pbn)
                 self._log_fifo.append(pbn)
@@ -223,7 +223,7 @@ class FastFTL(BaseFTL):
             while len(self._log_fifo) >= self.log_blocks:
                 merge_latency += self._merge_oldest_log()
             pbn = self._active_log = self._allocate_block()
-        ppn = pbn * self.pages_per_block + self.device.next_page(pbn)
+        ppn = pbn * self.pages_per_block + self._write_ptr[pbn]
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         self._commit_mapping(lpn, ppn)
         return merge_latency, latency

@@ -55,15 +55,24 @@ class NandChip:
     into the raising helpers off the happy path.
     """
 
-    def __init__(self, chip_id: int, spec: NandSpec, latency: LatencyModel | None = None) -> None:
+    def __init__(
+        self,
+        chip_id: int,
+        spec: NandSpec,
+        latency: LatencyModel | None = None,
+        write_ptr: list[int] | None = None,
+    ) -> None:
         self.chip_id = chip_id
         self.spec = spec
         self.latency = latency if latency is not None else LatencyModel(spec)
         self._num_blocks = spec.blocks_per_chip
         self._num_pages = spec.pages_per_block
-        #: lowest page index still programmable, per block; == pages_per_block
-        #: means no page of the block can be programmed until erase.
-        self.write_ptr: list[int] = [0] * spec.blocks_per_chip
+        #: lowest page index still programmable, per block, at
+        #: ``write_ptr[_base + block]`` (== pages_per_block: full until
+        #: erase).  A device's chips share its flat-PBN list, each at its
+        #: own offset; a standalone chip keeps its own.
+        self.write_ptr = [0] * spec.blocks_per_chip if write_ptr is None else write_ptr
+        self._base = 0 if write_ptr is None else chip_id * spec.blocks_per_chip
         #: the bitmap every block with nothing programmed shares: a
         #: ``bytes``, so a stray write raises instead of marking every
         #: blank block at once.
@@ -129,7 +138,7 @@ class NandChip:
 
     def _mark(self, block: int, page: int) -> None:
         """Record a program of ``page`` (its address already checked)."""
-        self.write_ptr[block] = page + 1
+        self.write_ptr[self._base + block] = page + 1
         bitmap = self.programmed[block]
         if bitmap is self._blank:
             bitmap = self.programmed[block] = bytearray(self._num_pages)
@@ -163,14 +172,16 @@ class NandChip:
             self._check_block(block)
         if not 0 <= page < self._num_pages:
             self._check_page(page)
-        expected = self.write_ptr[block]
+        write_ptr = self.write_ptr
+        slot = self._base + block
+        expected = write_ptr[slot]
         if page < expected:
             raise ProgramOrderError(
                 f"chip {self.chip_id}: non-ascending program of block {block}: "
                 f"got page {page}, write pointer at {expected}"
             )
         # _mark and _store_tag, inlined: this is every host write's program.
-        self.write_ptr[block] = page + 1
+        write_ptr[slot] = page + 1
         bitmap = self.programmed[block]
         if bitmap is self._blank:
             bitmap = self.programmed[block] = bytearray(self._num_pages)
@@ -217,7 +228,7 @@ class NandChip:
                 f"chip {self.chip_id}: read of unprogrammed page "
                 f"(block {src_block}, page {src_page})"
             )
-        expected = self.write_ptr[dst_block]
+        expected = self.write_ptr[self._base + dst_block]
         if dst_page < expected:
             raise ProgramOrderError(
                 f"chip {self.chip_id}: non-ascending program of block {dst_block}: "
@@ -248,7 +259,7 @@ class NandChip:
 
     def _reset(self, block: int) -> None:
         """Erase ``block``'s state: pointer, bitmap, tags; count the wear."""
-        self.write_ptr[block] = 0
+        self.write_ptr[self._base + block] = 0
         self.programmed[block] = self._blank
         self._tags[block] = None
         self.erase_counts[block] += 1
@@ -294,7 +305,7 @@ class NandChip:
         if not 0 <= page < self._num_pages:
             self._check_page(page)
         for block in blocks:
-            expected = self.write_ptr[block]
+            expected = self.write_ptr[self._base + block]
             if page < expected:
                 raise ProgramOrderError(
                     f"chip {self.chip_id}: non-ascending program of block "
@@ -343,13 +354,13 @@ class NandChip:
         """Whether the block has no programmable pages left this cycle."""
         if not 0 <= block < self._num_blocks:
             self._check_block(block)
-        return self.write_ptr[block] == self._num_pages
+        return self.write_ptr[self._base + block] == self._num_pages
 
     def next_page(self, block: int) -> int:
         """Next programmable page index of the block (== pages_per_block if full)."""
         if not 0 <= block < self._num_blocks:
             self._check_block(block)
-        return self.write_ptr[block]
+        return self.write_ptr[self._base + block]
 
     def tag(self, block: int, page: int) -> tuple[int, int] | None:
         """``(lpn, version)`` stored when the page was programmed (None

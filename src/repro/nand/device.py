@@ -40,7 +40,12 @@ class NandDevice:
         self.spec = spec
         self.geometry = Geometry(spec)
         self.latency = LatencyModel(spec)
-        self.chips = [NandChip(i, spec, self.latency) for i in range(spec.num_chips)]
+        #: every block's write pointer, indexed by flat PBN; each chip
+        #: works on its own slice (see :class:`NandChip`).
+        self.write_ptr: list[int] = [0] * spec.total_blocks
+        self.chips = [
+            NandChip(i, spec, self.latency, self.write_ptr) for i in range(spec.num_chips)
+        ]
         # Address-arithmetic constants, hoisted so the per-op commands
         # below stay free of the old double delegation through
         # Geometry.split_ppn (two extra function calls per simulated op).
@@ -52,13 +57,6 @@ class NandDevice:
         #: armed service-report log (see module docstring); ``None`` off.
         self.oplog: list[tuple[int, int, float, float]] | None = None
         self._page_transfer_us = self.latency.transfer_us()
-        if spec.num_chips == 1:
-            # Single-chip devices (every spec the paper sweeps) can skip
-            # the chip-select divmod for the block-addressed queries:
-            # flat PBN == in-chip block, so the chip methods — whose own
-            # range checks subsume check_pbn — are bound directly.
-            self.next_page = self.chips[0].next_page  # type: ignore[method-assign]
-            self.is_block_full = self.chips[0].is_block_full  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Service reporting (timed-mode op log)
@@ -312,15 +310,13 @@ class NandDevice:
         """Whether every page of block ``pbn`` is programmed."""
         if not 0 <= pbn < self._total_blocks:
             self.geometry.check_pbn(pbn)
-        chip, block = divmod(pbn, self._blocks_per_chip)
-        return self.chips[chip].is_block_full(block)
+        return self.write_ptr[pbn] == self._pages_per_block
 
     def next_page(self, pbn: int) -> int:
         """Next programmable page index of block ``pbn``."""
         if not 0 <= pbn < self._total_blocks:
             self.geometry.check_pbn(pbn)
-        chip, block = divmod(pbn, self._blocks_per_chip)
-        return self.chips[chip].next_page(block)
+        return self.write_ptr[pbn]
 
     def tag(self, ppn: int) -> tuple[int, int] | None:
         """``(lpn, version)`` stored at ``ppn`` when it was programmed

@@ -1,11 +1,17 @@
 """A small discrete-event simulation kernel: a callback event calendar.
 
-The calendar is a binary heap of ``(time, seq, fn, arg)`` entries;
-:meth:`Engine.run` pops the earliest and calls ``fn(arg)``.  ``seq``
-counts pushes, so entries due at one instant run in scheduling order.
-A model is a set of small callbacks that schedule one another over its
-own records — no event or process objects, no generators, and no
-simpy (not available offline).
+Entries due later wait in a binary heap of ``(time, seq, fn, arg)``
+(``seq`` counts its pushes); entries due now — :meth:`Engine.process`,
+resource grants, join firings, and any :meth:`Engine.timeout` that
+leaves the clock where it is — wait in a FIFO of ``(fn, arg)``.
+:meth:`Engine.run` drains the FIFO, then moves the clock to the heap's
+earliest time, runs every heap entry due then, and repeats.  That is
+the ``(time, seq)`` order of one heap of every entry: a heap entry due
+at ``now`` was pushed before the clock got there, so it precedes all
+that was scheduled during ``now``.  Entries due at one instant thus
+run in scheduling order.  A model is a set of small callbacks that
+schedule one another over its own records — no event or process
+objects, no generators, and no simpy (not available offline).
 
 Example
 -------
@@ -24,8 +30,10 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import ReproError
@@ -44,6 +52,9 @@ class Engine:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callback, Any]] = []
+        #: entries due now.  Resources and joins append to it directly,
+        #: so calls of :meth:`process` count only a model's own starts.
+        self._due: deque[tuple[Callback, Any]] = deque()
         self._sequence = itertools.count()
 
     # -- scheduling -----------------------------------------------------
@@ -51,28 +62,29 @@ class Engine:
     def process(self, fn: Callback, arg: Any = None) -> None:
         """Run ``fn(arg)`` at the current instant, after every entry
         already due now."""
-        heapq.heappush(self._heap, (self.now, next(self._sequence), fn, arg))
-
-    #: :meth:`process` for resource grants and join firings, so call
-    #: counts of ``process`` count only the starts a model asks for.
-    _wake = process
+        self._due.append((fn, arg))
 
     def timeout(self, delay: float, fn: Callback, arg: Any = None) -> None:
         """Run ``fn(arg)`` ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), fn, arg))
+        now = self.now
+        when = now + delay
+        if when > now:
+            heappush(self._heap, (when, next(self._sequence), fn, arg))
+        elif delay >= 0:  # 0, or too small to move a large clock
+            self._due.append((fn, arg))
+        else:  # negative or NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
 
     def all_of(self, count: int, fn: Callback, arg: Any = None) -> Callable[[Any], None]:
         """A join over ``count`` completions: returns the completion hook,
-        whose ``count``-th call runs ``process(fn, arg)`` (at once when
-        ``count == 0``) and whose calls beyond that raise.  The SSD
+        whose ``count``-th call schedules ``fn(arg)`` for now (at once
+        when ``count == 0``) and whose calls beyond that raise.  The SSD
         overlay joins a request's chip/plane visits this way.
         """
         if count < 0:
             raise SimulationError(f"negative join count {count}")
         pending = count
-        wake = self._wake
+        due = self._due
 
         def done(_: Any = None) -> None:
             nonlocal pending
@@ -80,10 +92,10 @@ class Engine:
                 raise SimulationError(f"join of {count} completed more than {count} times")
             pending -= 1
             if pending == 0:
-                wake(fn, arg)
+                due.append((fn, arg))
 
         if count == 0:
-            wake(fn, arg)
+            due.append((fn, arg))
         return done
 
     # -- execution --------------------------------------------------------
@@ -94,20 +106,24 @@ class Engine:
         An exception raised by a callback propagates out of ``run``.
         """
         heap = self._heap
-        pop = heapq.heappop
-        if until is None:
-            while heap:
-                self.now, _, fn, arg = pop(heap)
+        due = self._due
+        popleft = due.popleft
+        limit = math.inf if until is None else until
+        while not (due and self.now > limit):
+            while due:
+                fn, arg = popleft()
                 fn(arg)
-            return
-        while heap:
-            if heap[0][0] > until:
-                self.now = until
-                return
-            self.now, _, fn, arg = pop(heap)
-            fn(arg)
-        self.now = max(self.now, until)
+            if not heap or heap[0][0] > limit:
+                break
+            self.now = when = heap[0][0]
+            while heap and heap[0][0] == when:  # all before the FIFO
+                _, _, fn, arg = heappop(heap)
+                fn(arg)
+        if until is not None:
+            self.now = until if heap or due else max(self.now, until)
 
     def peek(self) -> float | None:
         """Time of the next scheduled entry, or None if idle."""
+        if self._due:
+            return self.now
         return self._heap[0][0] if self._heap else None

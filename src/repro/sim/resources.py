@@ -10,6 +10,10 @@ count, total time spent waiting in its queue, and the busy-time
 integral (``in_use`` integrated over simulated time), from which
 :meth:`Resource.utilization` derives the fraction-of-time-busy number
 the saturation studies plot.
+
+A grant goes onto the engine's FIFO of entries due now, as
+:meth:`Engine.process` would put it; calling it inline instead would
+run it ahead of entries already due.
 """
 
 from __future__ import annotations
@@ -37,40 +41,39 @@ class Resource:
         #: integral of ``in_use`` over time (see :meth:`utilization`).
         self.busy_us = 0.0
         self._last_change = engine.now
-
-    def _accrue(self) -> None:
-        """Fold the elapsed interval into the busy-time integral."""
-        now = self.engine.now
-        if self.in_use:
-            self.busy_us += self.in_use * (now - self._last_change)
-        self._last_change = now
+        self._due = engine._due
 
     def request(self, fn: Callback, arg: Any = None) -> None:
         """Ask for one unit; ``fn(arg)`` is scheduled once it is granted
         (for now if a unit is free, else by the :meth:`release` that
         hands it over, in request order)."""
         if self.in_use < self.capacity:
-            self._accrue()
+            now = self.engine.now
+            if self.in_use:
+                self.busy_us += self.in_use * (now - self._last_change)
+            self._last_change = now
             self.in_use += 1
             self.grants += 1
-            self.engine._wake(fn, arg)
+            self._due.append((fn, arg))
         else:
             self._waiters.append((fn, arg, self.engine.now))
 
     def release(self) -> None:
         """Return one unit; wakes the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError("release without a matching request")
         if self._waiters:
             # Hand the unit straight over: in_use stays constant, so the
             # busy integral continues uninterrupted.
             fn, arg, enqueued = self._waiters.popleft()
             self.wait_us += self.engine.now - enqueued
             self.grants += 1
-            self.engine._wake(fn, arg)
-        else:
-            self._accrue()
+            self._due.append((fn, arg))
+        elif self.in_use > 0:
+            now = self.engine.now
+            self.busy_us += self.in_use * (now - self._last_change)
+            self._last_change = now
             self.in_use -= 1
+        else:
+            raise SimulationError("release without a matching request")
 
     @property
     def queue_length(self) -> int:

@@ -705,8 +705,10 @@ class SSD:
         def on_unit(visit: _Visit) -> None:
             if visit.transfer_us > 0.0:
                 visit.port.request(on_port, visit)
+            elif visit.array_us > 0.0:
+                timeout(visit.array_us, leave, visit)
             else:
-                hold_array(visit)
+                leave(visit)
 
         def on_port(visit: _Visit) -> None:
             visit.bus.request(on_bus, visit)
@@ -717,9 +719,6 @@ class SSD:
         def transferred(visit: _Visit) -> None:
             visit.bus.release()
             visit.port.release()
-            hold_array(visit)
-
-        def hold_array(visit: _Visit) -> None:
             if visit.array_us > 0.0:
                 timeout(visit.array_us, leave, visit)
             else:

@@ -1,8 +1,12 @@
 """Tests for the multi-chip device facade."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ProgramOrderError
+from repro.ftl.conventional import ConventionalFTL
+from repro.nand.chip import NandChip
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 
@@ -37,6 +41,37 @@ class TestFlatAddressing:
         device.program_ppn(1 * device.spec.pages_per_block + 0)
         with pytest.raises(ProgramOrderError):
             device.program_ppn(1 * device.spec.pages_per_block + 0)
+
+
+class TestWritePointerArray:
+    """One flat-PBN write-pointer list, shared by the device and its chips."""
+
+    def test_chips_write_their_slice(self):
+        device = NandDevice(tiny_spec(num_chips=2))
+        pbn = device.spec.blocks_per_chip + 1  # chip 1, block 1
+        device.program_ppn(device.geometry.make_ppn(1, 1, 2))
+        assert device.write_ptr[pbn] == 3
+        assert device.chips[1].next_page(1) == 3
+        assert device.write_ptr.count(0) == device.spec.total_blocks - 1
+
+    def test_standalone_chip_keeps_its_own_list(self):
+        chip = NandChip(1, tiny_spec(num_chips=2))
+        chip.program(0, 0)
+        assert chip.write_ptr == [1] + [0] * (chip.spec.blocks_per_chip - 1)
+
+    def test_pickle_round_trip_keeps_one_shared_list(self):
+        """Results cross the worker pool pickled; the clone's chips and
+        FTL must still share the clone device's one list."""
+        ftl = ConventionalFTL(NandDevice(tiny_spec(num_chips=2)))
+        clone = pickle.loads(pickle.dumps(ftl))
+        device = clone.device
+        assert all(chip.write_ptr is device.write_ptr for chip in device.chips)
+        assert clone._write_ptr is device.write_ptr
+        pbn = device.spec.blocks_per_chip + 1
+        device.chips[1].program(1, 0)
+        assert device.write_ptr[pbn] == 1
+        assert device.next_page(pbn) == 1
+        assert ftl.device.write_ptr[pbn] == 0
 
 
 class TestTagContract:
