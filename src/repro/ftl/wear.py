@@ -49,11 +49,6 @@ class WearLeveler(VictimPolicy):
 
     # -- selection ---------------------------------------------------------
 
-    def _erase_counts(self, candidates: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.device.erase_count(int(pbn)) for pbn in candidates], dtype=np.int64
-        )
-
     def select(
         self,
         blocks: BlockManager,
@@ -63,7 +58,8 @@ class WearLeveler(VictimPolicy):
         if self.device.wear_spread() > self.threshold:
             candidates = blocks.victim_candidates(exclude)
             if candidates.size:
-                counts = self._erase_counts(candidates)
+                erase_count = self.device.erase_count
+                counts = [erase_count(pbn) for pbn in candidates.tolist()]
                 self.interventions += 1
                 return int(candidates[int(np.argmin(counts))])
         return self.inner.select(blocks, exclude, now)

@@ -6,7 +6,7 @@ import (half-written registrations are exactly what REG001 exists to
 catch).  File-scoped rules (DET001/DET002/DET003) inspect one module at
 a time; project-scoped rules (SPEC001/REG001/OPLOG001) anchor on the
 module that defines their subject (``ScenarioSpec``, ``FTL_CLASSES``,
-``NandChip``/``NandDevice``) and consult the cross-file
+``NandDevice``) and consult the cross-file
 :class:`~repro.lint.engine.Project` index for inheritance and registry
 resolution.
 """
@@ -700,9 +700,6 @@ class Reg001Registries(Rule):
 #: the audited command surface: the only methods that may accumulate
 #: device time or touch the service-report log.
 _OPLOG_ENTRY_POINTS = {
-    "NandChip": frozenset(
-        {"read", "program", "copyback", "erase", "multi_program", "multi_erase"}
-    ),
     "NandDevice": frozenset(
         {
             "read_ppn",

@@ -9,18 +9,16 @@ This package models the storage substrate the paper evaluates on:
   produces the asymmetric feature process size across gate stack layers.
 * :mod:`repro.nand.latency` — per-page asymmetric latency profiles
   (linear / geometric / physical / uniform).
-* :mod:`repro.nand.chip` — single chip command model enforcing NAND rules
-  (in-order programming, erase-before-write).
-* :mod:`repro.nand.device` — multi-chip device with flat page addressing.
+* :mod:`repro.nand.device` — the device: every NAND command over
+  per-block state indexed by flat PBN, enforcing the NAND rules
+  (in-order programming, erase-before-write), plus the timed-mode op log.
 """
 
 from repro.nand.spec import NandSpec, table1_spec, sim_spec, tiny_spec
 from repro.nand.geometry import Geometry
 from repro.nand.physics import TaperedChannelModel
 from repro.nand.latency import LatencyModel, LATENCY_PROFILES
-from repro.nand.chip import NandChip
 from repro.nand.device import NandDevice
-from repro.nand.stats import NandStats
 
 __all__ = [
     "NandSpec",
@@ -31,7 +29,5 @@ __all__ = [
     "TaperedChannelModel",
     "LatencyModel",
     "LATENCY_PROFILES",
-    "NandChip",
     "NandDevice",
-    "NandStats",
 ]

@@ -1,10 +1,40 @@
-"""Multi-chip NAND device with flat page addressing.
+"""The NAND device: every command over flat-PBN block state.
 
-The device presents the flat PPN/PBN address space the FTLs use and
-routes commands to the owning chip.  All timing comes back as a latency
-in microseconds; the caller (FTL / SSD front end) decides how latencies
-compose (sequentially for a single queue, overlapped by the DES engine
-when channel parallelism is enabled).
+The device presents the flat PPN/PBN address space the FTLs use (see
+:mod:`repro.nand.geometry`) and enforces the two hardware rules every
+FTL must respect:
+
+* **Ascending-order programming** — pages of a block must be programmed
+  in ascending page order (skipping forward is allowed, going back is
+  not).  This is what forces the paper's virtual block 2n+1 to wait
+  until virtual block 2n is full.
+* **Erase-before-write** — a page can only be programmed once per
+  erase cycle; re-programming requires erasing the whole block.
+
+Per-block state lives in flat lists indexed by PBN: a trace replay
+issues one read or program per simulated page, and at that granularity
+numpy scalar indexing costs more than the whole remaining command.
+
+* ``write_ptr`` — the lowest page index still programmable (==
+  ``pages_per_block``: full until erase).  Every FTL and allocator
+  reads it directly.
+* ``programmed`` — which pages actually hold data; it differs from the
+  write pointer only where an FTL deliberately skips pages, as FAST's
+  merge path does for never-written logical pages.  Blocks with nothing
+  programmed since their last erase share one immutable all-zero bitmap.
+* tags — an ``(lpn, version)`` pair of ints per programmed page,
+  standing in for its contents, in one ``array('q')`` per block
+  allocated at its first tagged program and dropped at erase.  The FTLs
+  tag every program with the logical page number and their op clock,
+  and the test suite checks tags against an oracle to prove no data is
+  ever lost or stale-served across GC.  DFTL's translation pages carry
+  a negative lpn (:func:`repro.ftl.dftl.translation_lpn`).
+* ``erase_counts`` — lifetime erases per block (the wear state).
+
+All timing comes back as a latency in microseconds; the caller (FTL /
+SSD front end) decides how latencies compose (sequentially for a single
+queue, overlapped by the DES engine when channel parallelism is
+enabled).
 
 Service reporting (the op log)
 ------------------------------
@@ -25,35 +55,55 @@ the per-command cost is a single ``is not None`` check.
 
 from __future__ import annotations
 
-from repro.errors import AddressError
-from repro.nand.chip import NandChip
+from array import array
+from typing import NoReturn
+
+from repro.errors import AddressError, ProgramOrderError, ReadFreePageError
 from repro.nand.geometry import Geometry
 from repro.nand.latency import LatencyModel
 from repro.nand.spec import NandSpec
-from repro.nand.stats import NandStats
+
+#: the lpn slot of a page programmed without a tag.
+_UNTAGGED = -(1 << 63)
 
 
 class NandDevice:
-    """A set of :class:`NandChip` behind one flat address space."""
+    """NAND chips behind one flat address space, state indexed by PBN."""
 
     def __init__(self, spec: NandSpec) -> None:
         self.spec = spec
         self.geometry = Geometry(spec)
         self.latency = LatencyModel(spec)
-        #: every block's write pointer, indexed by flat PBN; each chip
-        #: works on its own slice (see :class:`NandChip`).
-        self.write_ptr: list[int] = [0] * spec.total_blocks
-        self.chips = [
-            NandChip(i, spec, self.latency, self.write_ptr) for i in range(spec.num_chips)
-        ]
-        # Address-arithmetic constants, hoisted so the per-op commands
-        # below stay free of the old double delegation through
-        # Geometry.split_ppn (two extra function calls per simulated op).
-        self._pages_per_block = spec.pages_per_block
+        blocks = spec.total_blocks
+        pages = spec.pages_per_block
+        #: every block's write pointer, indexed by flat PBN.
+        self.write_ptr: list[int] = [0] * blocks
+        #: the bitmap every block with nothing programmed shares: a
+        #: ``bytes``, so a stray write raises instead of marking every
+        #: blank block at once.
+        self._blank: bytearray = bytes(pages)  # type: ignore[assignment]
+        #: which pages hold data (nonzero between program and erase);
+        #: ``_blank`` until the block's first program after an erase.
+        self.programmed: list[bytearray] = [self._blank] * blocks
+        #: lifetime erase count per block.
+        self.erase_counts: list[int] = [0] * blocks
+        #: per-block tags, ``None`` until the block's first tagged
+        #: program: page ``p``'s lpn at ``2p`` (``_UNTAGGED`` if it has
+        #: none) and its version at ``2p + 1``.
+        self._tags: list[array | None] = [None] * blocks
+        self._untagged = array("q", (_UNTAGGED, 0)) * pages
+        # Address-arithmetic constants and latency tables, hoisted for
+        # the per-op commands below.
+        self._pages_per_block = pages
         self._blocks_per_chip = spec.blocks_per_chip
         self._total_pages = spec.total_pages
-        self._total_blocks = spec.total_blocks
+        self._total_blocks = blocks
         self._planes = spec.planes_per_chip
+        self._read_total_us = self.latency.read_total_us
+        self._read_array_us = self.latency.read_array_us
+        self._program_total_us = self.latency.program_total_us
+        self._program_array_us = self.latency.program_array_us
+        self._erase_us = self.latency.erase_us()
         #: armed service-report log (see module docstring); ``None`` off.
         self.oplog: list[tuple[int, int, float, float]] | None = None
         self._page_transfer_us = self.latency.transfer_us()
@@ -116,7 +166,7 @@ class NandDevice:
         log = self.oplog
         if log is None or recovery_us <= 0.0:
             return
-        num_chips = len(self.chips)
+        num_chips = self.spec.num_chips
         page = ppn % self._pages_per_block
         step_us = self.latency.retry_step_us[page]
         share = recovery_us / num_chips
@@ -129,64 +179,62 @@ class NandDevice:
             log.append((chip, plane, array_share, transfer_share))
 
     # ------------------------------------------------------------------
-    # Flat-address commands (hot path)
+    # Commands (hot path: inline range checks, raising helpers only off
+    # the happy path)
     # ------------------------------------------------------------------
 
-    def read_ppn(self, ppn: int, include_transfer: bool = True) -> float:
+    def read_ppn(self, ppn: int) -> float:
         """Read the page at flat address ``ppn``; returns latency (us)."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         pbn, page = divmod(ppn, self._pages_per_block)
-        chip, block = divmod(pbn, self._blocks_per_chip)
+        if not self.programmed[pbn][page]:
+            self._raise_free(pbn, page)
         log = self.oplog
         if log is not None:
             log.append(
                 (
-                    chip,
-                    block % self._planes,
-                    self.latency.read_array_us[page],
-                    self._page_transfer_us if include_transfer else 0.0,
+                    pbn // self._blocks_per_chip,
+                    pbn % self._blocks_per_chip % self._planes,
+                    self._read_array_us[page],
+                    self._page_transfer_us,
                 )
             )
-        return self.chips[chip].read(block, page, include_transfer=include_transfer)
+        return self._read_total_us[page]
 
-    def program_ppn(
-        self,
-        ppn: int,
-        lpn: int | None = None,
-        version: int = 0,
-        include_transfer: bool = True,
-    ) -> float:
+    def program_ppn(self, ppn: int, lpn: int | None = None, version: int = 0) -> float:
         """Program the page at flat address ``ppn``; returns latency (us).
 
         With ``lpn`` given, the page is tagged ``(lpn, version)`` (see
-        :meth:`tag`).
+        :meth:`tag`).  Raises :class:`~repro.errors.ProgramOrderError`
+        unless the page is at or after its block's write pointer
+        (ascending order; this single check also covers
+        erase-before-write, since every page behind the pointer has
+        already been programmed or permanently skipped this erase cycle).
         """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         pbn, page = divmod(ppn, self._pages_per_block)
-        chip, block = divmod(pbn, self._blocks_per_chip)
+        self._program(pbn, page, lpn, version)
         log = self.oplog
         if log is not None:
             log.append(
                 (
-                    chip,
-                    block % self._planes,
-                    self.latency.program_array_us[page],
-                    self._page_transfer_us if include_transfer else 0.0,
+                    pbn // self._blocks_per_chip,
+                    pbn % self._blocks_per_chip % self._planes,
+                    self._program_array_us[page],
+                    self._page_transfer_us,
                 )
             )
-        return self.chips[chip].program(block, page, lpn, version, include_transfer)
+        return self._program_total_us[page]
 
     def copy_page(self, src_ppn: int, dst_ppn: int) -> tuple[float, float]:
         """Copyback relocation: internal read of ``src_ppn`` + program of
-        its tag into ``dst_ppn``, no bus transfers.
+        its tag (untagged if it had none) into ``dst_ppn``, no bus
+        transfers.
 
-        Byte-for-byte equivalent to the ``read_ppn`` / ``tag`` /
-        ``program_ppn`` triple GC and merges used to issue, fused into
-        one command; falls back to the triple when the pages live on
-        different chips (off-chip copyback needs the bus-free internal
-        move modeled per chip).  Returns ``(read_us, program_us)``.
+        The two pages may sit on different chips.  Returns
+        ``(read_us, program_us)``: the two array times.
         """
         if not 0 <= src_ppn < self._total_pages:
             self.geometry.check_ppn(src_ppn)
@@ -194,72 +242,50 @@ class NandDevice:
             self.geometry.check_ppn(dst_ppn)
         src_pbn, src_page = divmod(src_ppn, self._pages_per_block)
         dst_pbn, dst_page = divmod(dst_ppn, self._pages_per_block)
-        src_chip, src_block = divmod(src_pbn, self._blocks_per_chip)
-        dst_chip, dst_block = divmod(dst_pbn, self._blocks_per_chip)
-        if src_chip == dst_chip:
-            result = self.chips[src_chip].copyback(src_block, src_page, dst_block, dst_page)
-        else:
-            read_us = self.chips[src_chip].read(src_block, src_page, include_transfer=False)
-            tag = self.chips[src_chip].tag(src_block, src_page)
-            lpn, version = tag if tag is not None else (None, 0)
-            program_us = self.chips[dst_chip].program(
-                dst_block, dst_page, lpn, version, include_transfer=False
-            )
-            result = (read_us, program_us)
+        if not self.programmed[src_pbn][src_page]:
+            self._raise_free(src_pbn, src_page)
+        tag = self.tag(src_ppn)
+        lpn, version = tag if tag is not None else (None, 0)
+        self._program(dst_pbn, dst_page, lpn, version)
+        read_us = self._read_array_us[src_page]
+        program_us = self._program_array_us[dst_page]
         log = self.oplog
         if log is not None:
+            per_chip = self._blocks_per_chip
             planes = self._planes
-            log.append((src_chip, src_block % planes, result[0], 0.0))
-            log.append((dst_chip, dst_block % planes, result[1], 0.0))
-        return result
+            log.append((src_pbn // per_chip, src_pbn % per_chip % planes, read_us, 0.0))
+            log.append((dst_pbn // per_chip, dst_pbn % per_chip % planes, program_us, 0.0))
+        return read_us, program_us
 
     def erase_pbn(self, pbn: int) -> float:
         """Erase the block at flat address ``pbn``; returns latency (us)."""
-        chip, block = self.geometry.split_pbn(pbn)
-        latency = self.chips[chip].erase(block)
+        if not 0 <= pbn < self._total_blocks:
+            self.geometry.check_pbn(pbn)
+        self._reset(pbn)
+        latency = self._erase_us
         log = self.oplog
         if log is not None:
-            log.append((chip, block % self._planes, latency, 0.0))
+            per_chip = self._blocks_per_chip
+            log.append((pbn // per_chip, pbn % per_chip % self._planes, latency, 0.0))
         return latency
 
-    def _split_siblings(self, pbns: "list[int]", op: str) -> tuple[int, list[int]]:
-        """Resolve a fused command's blocks to (chip, in-chip blocks).
-
-        All blocks must live on one chip; the per-plane distinctness
-        check belongs to the chip (:meth:`NandChip._check_sibling_planes`).
-        """
-        if not pbns:
-            raise AddressError(f"{op} of zero blocks")
-        chips_blocks = [self.geometry.split_pbn(pbn) for pbn in pbns]
-        chip = chips_blocks[0][0]
-        if any(c != chip for c, _ in chips_blocks):
-            raise AddressError(
-                f"{op} blocks {pbns} span chips "
-                f"{sorted({c for c, _ in chips_blocks})}; siblings share one chip"
-            )
-        return chip, [block for _, block in chips_blocks]
-
     def program_multi_ppn(
-        self,
-        ppns: "list[int]",
-        tags: "list[tuple[int, int]] | None" = None,
-        include_transfer: bool = True,
+        self, ppns: "list[int]", tags: "list[tuple[int, int]] | None" = None
     ) -> float:
         """Multi-plane program: same page index on sibling-plane blocks.
 
         ``tags``, when given, holds each page's ``(lpn, version)`` in
         ``ppns`` order.
 
-        The planes share one array time while the page-register loads
-        (transfers) serialize; returns — and the op log bills per plane —
-        accordingly: each sibling's segment carries the shared array
-        time plus its own transfer.  Raises
+        The planes share one array time while each plane's page-register
+        load (transfer) serializes, so the fused latency is
+        ``n * transfer + array``; the op log bills each sibling's segment
+        the shared array time plus its own transfer.  Raises
         :class:`~repro.errors.AddressError` unless the PPNs address one
         chip, distinct planes, and one common page index.
         """
-        chip, blocks = self._split_siblings(
-            [ppn // self._pages_per_block for ppn in ppns], "multi-plane program"
-        )
+        pbns = [ppn // self._pages_per_block for ppn in ppns]
+        chip = self._sibling_chip(pbns, "multi-plane program")
         pages = [ppn % self._pages_per_block for ppn in ppns]
         page = pages[0]
         if any(p != page for p in pages):
@@ -267,17 +293,19 @@ class NandDevice:
                 f"multi-plane program pages {sorted(set(pages))} differ; "
                 f"sibling planes program one page index"
             )
-        latency = self.chips[chip].multi_program(
-            blocks, page, tags=tags, include_transfer=include_transfer
-        )
+        for pbn in pbns:
+            if page < self.write_ptr[pbn]:
+                self._raise_order(pbn, page)
+        for index, pbn in enumerate(pbns):
+            lpn, version = tags[index] if tags is not None else (None, 0)
+            self._program(pbn, page, lpn, version)
+        array_us = self._program_array_us[page]
         log = self.oplog
         if log is not None:
-            array_us = self.latency.program_array_us[page]
-            transfer = self._page_transfer_us if include_transfer else 0.0
             planes = self._planes
-            for block in blocks:
-                log.append((chip, block % planes, array_us, transfer))
-        return latency
+            for pbn in pbns:
+                log.append((chip, pbn % planes, array_us, self._page_transfer_us))
+        return array_us + (self._program_total_us[page] - array_us) * len(pbns)
 
     def erase_multi_pbn(self, pbns: "list[int]") -> float:
         """Multi-plane erase: sibling-plane blocks for one array time.
@@ -288,69 +316,98 @@ class NandDevice:
         shared array time.  Raises :class:`~repro.errors.AddressError`
         unless the PBNs address one chip and distinct planes.
         """
-        chip, blocks = self._split_siblings(pbns, "multi-plane erase")
-        latency = self.chips[chip].multi_erase(blocks)
+        chip = self._sibling_chip(pbns, "multi-plane erase")
+        for pbn in pbns:
+            self._reset(pbn)
+        latency = self._erase_us
         log = self.oplog
         if log is not None:
             planes = self._planes
-            for block in blocks:
-                log.append((chip, block % planes, latency, 0.0))
+            for pbn in pbns:
+                log.append((chip, pbn % planes, latency, 0.0))
         return latency
 
     # ------------------------------------------------------------------
-    # Flat-address queries
+    # Command internals
     # ------------------------------------------------------------------
 
-    def is_programmed(self, ppn: int) -> bool:
-        """Whether the page at ``ppn`` currently holds data."""
-        chip, block, page = self.geometry.split_ppn(ppn)
-        return self.chips[chip].is_programmed(block, page)
+    def _program(self, pbn: int, page: int, lpn: int | None, version: int) -> None:
+        """Program ``page`` of ``pbn`` (address checked), tagging it when
+        ``lpn`` is given."""
+        write_ptr = self.write_ptr
+        if page < write_ptr[pbn]:
+            self._raise_order(pbn, page)
+        write_ptr[pbn] = page + 1
+        bitmap = self.programmed[pbn]
+        if bitmap is self._blank:
+            bitmap = self.programmed[pbn] = bytearray(self._pages_per_block)
+        bitmap[page] = 1
+        if lpn is not None:
+            tags = self._tags[pbn]
+            if tags is None:
+                tags = self._tags[pbn] = self._untagged[:]
+            tags[2 * page] = lpn
+            tags[2 * page + 1] = version
 
-    def is_block_full(self, pbn: int) -> bool:
-        """Whether every page of block ``pbn`` is programmed."""
-        if not 0 <= pbn < self._total_blocks:
-            self.geometry.check_pbn(pbn)
-        return self.write_ptr[pbn] == self._pages_per_block
+    def _reset(self, pbn: int) -> None:
+        """Erase ``pbn``'s state: pointer, bitmap, tags; count the wear."""
+        self.write_ptr[pbn] = 0
+        self.programmed[pbn] = self._blank
+        self._tags[pbn] = None
+        self.erase_counts[pbn] += 1
 
-    def next_page(self, pbn: int) -> int:
-        """Next programmable page index of block ``pbn``."""
-        if not 0 <= pbn < self._total_blocks:
-            self.geometry.check_pbn(pbn)
-        return self.write_ptr[pbn]
+    def _sibling_chip(self, pbns: "list[int]", op: str) -> int:
+        """The one chip a fused command's blocks share; raises unless they
+        are in range, on one chip and on distinct planes."""
+        if not pbns:
+            raise AddressError(f"{op} of zero blocks")
+        for pbn in pbns:
+            if not 0 <= pbn < self._total_blocks:
+                self.geometry.check_pbn(pbn)
+        per_chip = self._blocks_per_chip
+        chips = {pbn // per_chip for pbn in pbns}
+        if len(chips) > 1:
+            raise AddressError(
+                f"{op} blocks {pbns} span chips {sorted(chips)}; siblings share one chip"
+            )
+        planes = [pbn % per_chip % self._planes for pbn in pbns]
+        if len(set(planes)) < len(planes):
+            raise AddressError(
+                f"{op} blocks {pbns} do not sit on distinct planes (planes {planes})"
+            )
+        return pbns[0] // per_chip
+
+    def _raise_free(self, pbn: int, page: int) -> NoReturn:
+        raise ReadFreePageError(f"read of unprogrammed page (block {pbn}, page {page})")
+
+    def _raise_order(self, pbn: int, page: int) -> NoReturn:
+        raise ProgramOrderError(
+            f"non-ascending program of block {pbn}: got page {page}, "
+            f"write pointer at {self.write_ptr[pbn]}"
+        )
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
 
     def tag(self, ppn: int) -> tuple[int, int] | None:
         """``(lpn, version)`` stored at ``ppn`` when it was programmed
-        (None if it was programmed untagged)."""
+        (None if it was programmed untagged, or not since the last erase)."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         pbn, page = divmod(ppn, self._pages_per_block)
-        chip, block = divmod(pbn, self._blocks_per_chip)
-        return self.chips[chip].tag(block, page)
+        tags = self._tags[pbn]
+        if tags is None or tags[2 * page] == _UNTAGGED:
+            return None
+        return tags[2 * page], tags[2 * page + 1]
 
     def erase_count(self, pbn: int) -> int:
         """Lifetime erase count of block ``pbn``."""
-        chip, block = self.geometry.split_pbn(pbn)
-        return self.chips[chip].erase_count(block)
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-
-    @property
-    def stats(self) -> NandStats:
-        """Device-wide counters summed over chips."""
-        total = NandStats()
-        for chip in self.chips:
-            total = total.merge(chip.stats)
-        return total
-
-    def total_erases(self) -> int:
-        """Total block erases across the device (Fig. 18's metric)."""
-        return sum(chip.stats.erases for chip in self.chips)
+        if not 0 <= pbn < self._total_blocks:
+            self.geometry.check_pbn(pbn)
+        return self.erase_counts[pbn]
 
     def wear_spread(self) -> int:
         """Max-min per-block erase count across the device."""
-        per_chip = [
-            chip.erase_histogram.spread(self.spec.blocks_per_chip) for chip in self.chips
-        ]
-        return max(per_chip, default=0)
+        counts = self.erase_counts
+        return max(counts) - min(counts)

@@ -2,8 +2,8 @@
 
 The FTL layers address pages with a flat *physical page number* (PPN) and
 blocks with a flat *physical block number* (PBN).  This module converts
-between those flat numbers and the structured (chip, block, page) /
-(chip, block) coordinates the chip model uses.
+from structured (chip, block, page) / (chip, block) coordinates to
+those flat numbers, and back to a page's block, chip and plane.
 
 Layout: PPNs are block-major — all pages of PBN 0, then all pages of
 PBN 1, ... — so ``ppn // pages_per_block == pbn`` and
@@ -32,14 +32,7 @@ class Geometry:
         #: pages per chip, for the flat chip-of-PPN arithmetic.
         self.pages_per_chip = spec.blocks_per_chip * spec.pages_per_block
 
-    # -- PPN <-> (chip, block-in-chip, page) ---------------------------
-
-    def split_ppn(self, ppn: int) -> tuple[int, int, int]:
-        """Return ``(chip, block_in_chip, page_in_block)`` for a flat PPN."""
-        self.check_ppn(ppn)
-        pbn, page = divmod(ppn, self.pages_per_block)
-        chip, block = divmod(pbn, self.blocks_per_chip)
-        return chip, block, page
+    # -- (chip, block-in-chip, page) -> PPN ---------------------------
 
     def make_ppn(self, chip: int, block: int, page: int) -> int:
         """Return the flat PPN for structured coordinates."""
@@ -51,12 +44,7 @@ class Geometry:
             raise AddressError(f"page {page} out of range [0, {self.pages_per_block})")
         return (chip * self.blocks_per_chip + block) * self.pages_per_block + page
 
-    # -- PBN <-> (chip, block-in-chip) ---------------------------------
-
-    def split_pbn(self, pbn: int) -> tuple[int, int]:
-        """Return ``(chip, block_in_chip)`` for a flat PBN."""
-        self.check_pbn(pbn)
-        return divmod(pbn, self.blocks_per_chip)
+    # -- (chip, block-in-chip) -> PBN ---------------------------------
 
     def make_pbn(self, chip: int, block: int) -> int:
         """Return the flat PBN for structured coordinates."""

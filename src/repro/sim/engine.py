@@ -103,13 +103,17 @@ class Engine:
     def run(self, until: float | None = None) -> None:
         """Run callbacks until the calendar drains or ``until`` is reached.
 
-        An exception raised by a callback propagates out of ``run``.
+        ``until`` may equal ``now`` (run what is due now) but never lie
+        before it: the clock does not move back.  An exception raised by
+        a callback propagates out of ``run``.
         """
+        if until is not None and not until >= self.now:  # also NaN
+            raise SimulationError(f"run(until={until}) is before now ({self.now})")
         heap = self._heap
         due = self._due
         popleft = due.popleft
         limit = math.inf if until is None else until
-        while not (due and self.now > limit):
+        while True:
             while due:
                 fn, arg = popleft()
                 fn(arg)
@@ -120,7 +124,7 @@ class Engine:
                 _, _, fn, arg = heappop(heap)
                 fn(arg)
         if until is not None:
-            self.now = until if heap or due else max(self.now, until)
+            self.now = until
 
     def peek(self) -> float | None:
         """Time of the next scheduled entry, or None if idle."""

@@ -453,12 +453,7 @@ class SSD:
         stats = getattr(self.ftl, "stats", None)
         if stats is None:
             return
-        fresh = type(stats)()
-        self.ftl.stats = fresh
-        device = getattr(self.ftl, "device", None)
-        if device is not None:
-            for chip in device.chips:
-                chip.stats = type(chip.stats)()
+        self.ftl.stats = type(stats)()
 
     def replay(
         self,

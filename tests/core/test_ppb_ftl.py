@@ -138,7 +138,7 @@ class TestInvariantsUnderChurn:
         for pbn in range(ftl.spec.total_blocks):
             if not ftl.vbmgr.is_carved(pbn):
                 continue
-            next_page = ftl.device.next_page(pbn)
+            next_page = ftl.device.write_ptr[pbn]
             for vb in ftl.vbmgr.vbs_of(pbn):
                 if vb.state is VBState.USED:
                     assert next_page >= vb.end_page

@@ -219,8 +219,8 @@ class TestReg001:
 
 
 OPLOG_FIXTURE = """\
-class NandChip:
-    def read(self, ppn):
+class NandDevice:
+    def read_ppn(self, ppn):
         self.stats.read_us += 1.0
 
     def shortcut_read(self, ppn):

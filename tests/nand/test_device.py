@@ -1,12 +1,11 @@
-"""Tests for the multi-chip device facade."""
+"""Tests for the device's flat address space, state and op log."""
 
 import pickle
 
 import pytest
 
-from repro.errors import ProgramOrderError
+from repro.errors import ProgramOrderError, ReadFreePageError
 from repro.ftl.conventional import ConventionalFTL
-from repro.nand.chip import NandChip
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 
@@ -20,21 +19,25 @@ class TestFlatAddressing:
     def test_cross_chip_routing(self):
         device = NandDevice(tiny_spec(num_chips=2))
         second_chip_ppn = device.geometry.make_ppn(1, 0, 0)
+        device.begin_oplog()
         device.program_ppn(second_chip_ppn)
-        assert device.chips[1].stats.programs == 1
-        assert device.chips[0].stats.programs == 0
+        ((chip, *_),) = device.end_oplog()
+        assert chip == 1
+        assert device.write_ptr[device.spec.blocks_per_chip] == 1
 
     def test_block_fill_and_full(self, device):
         pbn = 3
         for ppn in device.geometry.ppn_range_of_pbn(pbn):
             device.program_ppn(ppn)
-        assert device.is_block_full(pbn)
-        assert device.next_page(pbn) == device.spec.pages_per_block
+        assert device.write_ptr[pbn] == device.spec.pages_per_block
+        with pytest.raises(ProgramOrderError):
+            device.program_ppn(device.geometry.ppn_range_of_pbn(pbn)[-1])
 
     def test_erase_by_pbn(self, device):
         device.program_ppn(0)
         device.erase_pbn(0)
-        assert not device.is_programmed(0)
+        with pytest.raises(ReadFreePageError):
+            device.read_ppn(0)
         assert device.erase_count(0) == 1
 
     def test_order_enforced_through_facade(self, device):
@@ -44,33 +47,28 @@ class TestFlatAddressing:
 
 
 class TestWritePointerArray:
-    """One flat-PBN write-pointer list, shared by the device and its chips."""
+    """One flat-PBN write-pointer list, shared by the device and the FTL."""
 
     def test_chips_write_their_slice(self):
         device = NandDevice(tiny_spec(num_chips=2))
         pbn = device.spec.blocks_per_chip + 1  # chip 1, block 1
         device.program_ppn(device.geometry.make_ppn(1, 1, 2))
         assert device.write_ptr[pbn] == 3
-        assert device.chips[1].next_page(1) == 3
         assert device.write_ptr.count(0) == device.spec.total_blocks - 1
 
-    def test_standalone_chip_keeps_its_own_list(self):
-        chip = NandChip(1, tiny_spec(num_chips=2))
-        chip.program(0, 0)
-        assert chip.write_ptr == [1] + [0] * (chip.spec.blocks_per_chip - 1)
-
     def test_pickle_round_trip_keeps_one_shared_list(self):
-        """Results cross the worker pool pickled; the clone's chips and
-        FTL must still share the clone device's one list."""
+        """Results cross the worker pool pickled; the clone's FTL must
+        still share the clone device's one list, and blank blocks their
+        one bitmap."""
         ftl = ConventionalFTL(NandDevice(tiny_spec(num_chips=2)))
         clone = pickle.loads(pickle.dumps(ftl))
         device = clone.device
-        assert all(chip.write_ptr is device.write_ptr for chip in device.chips)
         assert clone._write_ptr is device.write_ptr
+        assert all(bitmap is device._blank for bitmap in device.programmed)
         pbn = device.spec.blocks_per_chip + 1
-        device.chips[1].program(1, 0)
+        device.program_ppn(device.geometry.make_ppn(1, 1, 0))
         assert device.write_ptr[pbn] == 1
-        assert device.next_page(pbn) == 1
+        assert clone._write_ptr[pbn] == 1
         assert ftl.device.write_ptr[pbn] == 0
 
 
@@ -107,17 +105,11 @@ class TestTagContract:
 
 
 class TestAggregates:
-    def test_stats_sum_over_chips(self):
-        device = NandDevice(tiny_spec(num_chips=2))
-        device.program_ppn(device.geometry.make_ppn(0, 0, 0))
-        device.program_ppn(device.geometry.make_ppn(1, 0, 0))
-        assert device.stats.programs == 2
-
     def test_total_erases(self, device):
         device.erase_pbn(0)
         device.erase_pbn(1)
         device.erase_pbn(0)
-        assert device.total_erases() == 3
+        assert sum(device.erase_counts) == 3
 
     def test_wear_spread(self, device):
         assert device.wear_spread() == 0
@@ -125,6 +117,14 @@ class TestAggregates:
         device.erase_pbn(0)
         device.erase_pbn(0)
         assert device.wear_spread() == 3
+
+    def test_wear_spread_is_device_wide(self):
+        """Every block of chip 0 erased once, chip 1 untouched: each
+        chip alone is level, the device is not."""
+        device = NandDevice(tiny_spec(num_chips=2))
+        for pbn in range(device.spec.blocks_per_chip):
+            device.erase_pbn(pbn)
+        assert device.wear_spread() == 1
 
 
 class TestOpLog:

@@ -13,46 +13,55 @@ def geometry() -> Geometry:
     return Geometry(tiny_spec(num_chips=2))
 
 
+def _coordinates(geometry: Geometry, ppn: int) -> tuple[int, int, int]:
+    """``(chip, block_in_chip, page)`` of a flat PPN, from the flat helpers."""
+    block = geometry.pbn_of_ppn(ppn) % geometry.blocks_per_chip
+    return geometry.chip_of_ppn(ppn), block, geometry.page_of_ppn(ppn)
+
+
 class TestPpnRoundTrip:
     def test_first_ppn(self, geometry):
-        assert geometry.split_ppn(0) == (0, 0, 0)
+        assert _coordinates(geometry, 0) == (0, 0, 0)
 
     def test_last_ppn(self, geometry):
         last = geometry.total_pages - 1
-        chip, block, page = geometry.split_ppn(last)
+        chip, block, page = _coordinates(geometry, last)
         assert chip == geometry.num_chips - 1
         assert block == geometry.blocks_per_chip - 1
         assert page == geometry.pages_per_block - 1
 
     def test_make_then_split(self, geometry):
         ppn = geometry.make_ppn(1, 3, 7)
-        assert geometry.split_ppn(ppn) == (1, 3, 7)
+        assert _coordinates(geometry, ppn) == (1, 3, 7)
 
     @given(ppn=st.integers(min_value=0, max_value=2 * 64 * 16 - 1))
     @settings(max_examples=200)
     def test_round_trip_everywhere(self, ppn):
         geometry = Geometry(tiny_spec(num_chips=2))
-        chip, block, page = geometry.split_ppn(ppn)
+        chip, block, page = _coordinates(geometry, ppn)
         assert geometry.make_ppn(chip, block, page) == ppn
 
     def test_out_of_range_rejected(self, geometry):
         with pytest.raises(AddressError):
-            geometry.split_ppn(geometry.total_pages)
+            geometry.pbn_of_ppn(geometry.total_pages)
         with pytest.raises(AddressError):
-            geometry.split_ppn(-1)
+            geometry.chip_of_ppn(-1)
+        with pytest.raises(AddressError):
+            geometry.make_ppn(0, 0, geometry.pages_per_block)
 
 
 class TestPbnRoundTrip:
     def test_make_then_split(self, geometry):
         pbn = geometry.make_pbn(1, 5)
-        assert geometry.split_pbn(pbn) == (1, 5)
+        assert divmod(pbn, geometry.blocks_per_chip) == (1, 5)
+        assert geometry.chip_of_ppn(geometry.first_ppn_of_pbn(pbn)) == 1
 
     @given(pbn=st.integers(min_value=0, max_value=2 * 64 - 1))
     @settings(max_examples=100)
     def test_round_trip_everywhere(self, pbn):
         geometry = Geometry(tiny_spec(num_chips=2))
-        chip, block = geometry.split_pbn(pbn)
-        assert geometry.make_pbn(chip, block) == pbn
+        chip = geometry.chip_of_ppn(geometry.first_ppn_of_pbn(pbn))
+        assert geometry.make_pbn(chip, pbn % geometry.blocks_per_chip) == pbn
 
     def test_bad_coordinates_rejected(self, geometry):
         with pytest.raises(AddressError):

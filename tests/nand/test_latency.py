@@ -35,9 +35,8 @@ class TestLinearProfile:
         spec = tiny_spec(speed_ratio=ratio)
         model = LatencyModel(spec)
         expected = spec.read_us * (1 + ratio) / 2
-        assert model.mean_read_us(include_transfer=False) == pytest.approx(
-            expected, rel=0.02
-        )
+        array_mean = model.mean_read_us() - spec.transfer_us()
+        assert array_mean == pytest.approx(expected, rel=0.02)
 
 
 class TestOtherProfiles:
@@ -90,7 +89,7 @@ class TestTransferAndErase:
         spec = tiny_spec()
         model = LatencyModel(spec)
         with_transfer = model.read_us(0)
-        without = model.read_us(0, include_transfer=False)
+        without = model.read_array_us[0]
         assert with_transfer == pytest.approx(without + spec.transfer_us())
 
     def test_erase_is_layer_independent(self):
@@ -136,7 +135,7 @@ class TestRetryReads:
     def test_step_costs_array_read_plus_transfer(self):
         spec = tiny_spec(speed_ratio=3.0)
         model = LatencyModel(spec)
-        expected = model.read_us(5, include_transfer=False) + spec.transfer_us()
+        expected = model.read_array_us[5] + spec.transfer_us()
         assert model.retry_read_us(5, 1) == pytest.approx(expected)
         assert model.retry_read_us(5, 3) == pytest.approx(3 * expected)
 

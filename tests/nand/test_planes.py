@@ -13,8 +13,7 @@ The plane model is pure convention plus two fused commands:
 
 import pytest
 
-from repro.errors import AddressError, ConfigError
-from repro.nand.chip import NandChip
+from repro.errors import AddressError, ConfigError, ProgramOrderError, ReadFreePageError
 from repro.nand.device import NandDevice
 from repro.nand.geometry import Geometry
 from repro.nand.spec import NandSpec, tiny_spec
@@ -67,68 +66,74 @@ class TestPlaneGeometry:
         )
 
 
+def _ppns(device: NandDevice, blocks, page: int) -> "list[int]":
+    return [device.geometry.make_ppn(0, block, page) for block in blocks]
+
+
 class TestChipMultiProgram:
     @pytest.fixture
-    def chip(self) -> NandChip:
-        return NandChip(0, tiny_spec(planes_per_chip=2))
+    def chip(self) -> NandDevice:
+        return NandDevice(tiny_spec(planes_per_chip=2))
 
     def test_shares_one_array_time(self, chip):
         # Without transfers, the fused program costs exactly one plane's
         # array time — that is the whole point of the command.
-        single = NandChip(1, tiny_spec(planes_per_chip=2))
-        alone = single.program(0, 0, include_transfer=False)
-        fused = chip.multi_program([0, 1], 0, include_transfer=False)
-        assert fused == alone
+        chip.begin_oplog()
+        chip.program_multi_ppn(_ppns(chip, [0, 1], 0))
+        ops = chip.end_oplog()
+        assert [op[2] for op in ops] == [chip.latency.program_array_us[0]] * 2
 
     def test_transfers_serialize(self, chip):
-        single = NandChip(1, tiny_spec(planes_per_chip=2))
-        total = single.program(0, 0)  # array + one transfer
-        array = NandChip(2, tiny_spec(planes_per_chip=2)).program(
-            0, 0, include_transfer=False
-        )
-        fused = chip.multi_program([0, 1], 0)
+        single = NandDevice(tiny_spec(planes_per_chip=2))
+        total = single.program_ppn(0)  # array + one transfer
+        array = chip.latency.program_array_us[0]
+        fused = chip.program_multi_ppn(_ppns(chip, [0, 1], 0))
         assert fused == pytest.approx(array + 2 * (total - array))
 
     def test_programs_every_plane(self, chip):
-        chip.multi_program([0, 1], 0, tags=[(1, 2), (3, 4)])
-        assert chip.is_programmed(0, 0) and chip.is_programmed(1, 0)
-        assert chip.tag(0, 0) == (1, 2) and chip.tag(1, 0) == (3, 4)
-        assert chip.stats.programs == 2
+        ppns = _ppns(chip, [0, 1], 0)
+        chip.program_multi_ppn(ppns, tags=[(1, 2), (3, 4)])
+        assert chip.write_ptr[0] == chip.write_ptr[1] == 1
+        assert [chip.tag(ppn) for ppn in ppns] == [(1, 2), (3, 4)]
 
     def test_same_plane_blocks_rejected(self, chip):
         # Blocks 0 and 2 both sit on plane 0 of a 2-plane chip.
         with pytest.raises(AddressError, match="distinct planes"):
-            chip.multi_program([0, 2], 0)
+            chip.program_multi_ppn(_ppns(chip, [0, 2], 0))
 
     def test_zero_blocks_rejected(self, chip):
         with pytest.raises(AddressError):
-            chip.multi_program([], 0)
+            chip.program_multi_ppn([])
 
     def test_program_order_enforced_per_block(self, chip):
-        chip.program(0, 0)
-        chip.program(0, 1)
-        with pytest.raises(Exception):  # ProgramOrderError
-            chip.multi_program([0, 1], 0)
+        chip.program_ppn(_ppns(chip, [0], 0)[0])
+        chip.program_ppn(_ppns(chip, [0], 1)[0])
+        with pytest.raises(ProgramOrderError):
+            chip.program_multi_ppn(_ppns(chip, [0, 1], 0))
+        assert chip.write_ptr[1] == 0  # nothing programmed on a refusal
 
 
 class TestChipMultiErase:
     @pytest.fixture
-    def chip(self) -> NandChip:
-        return NandChip(0, tiny_spec(planes_per_chip=2))
+    def chip(self) -> NandDevice:
+        return NandDevice(tiny_spec(planes_per_chip=2))
 
     def test_one_latency_every_block_reset(self, chip):
-        chip.program(0, 0)
-        chip.program(1, 0)
-        alone = NandChip(1, tiny_spec(planes_per_chip=2)).erase(0)
-        fused = chip.multi_erase([0, 1])
+        chip.program_ppn(_ppns(chip, [0], 0)[0])
+        chip.program_ppn(_ppns(chip, [1], 0)[0])
+        alone = NandDevice(tiny_spec(planes_per_chip=2)).erase_pbn(0)
+        fused = chip.erase_multi_pbn([0, 1])
         assert fused == alone
-        assert not chip.is_programmed(0, 0) and not chip.is_programmed(1, 0)
+        assert chip.write_ptr[0] == chip.write_ptr[1] == 0
+        for ppn in _ppns(chip, [0, 1], 0):
+            with pytest.raises(ReadFreePageError):
+                chip.read_ppn(ppn)
         assert chip.erase_count(0) == 1 and chip.erase_count(1) == 1
-        assert chip.stats.erases == 2
+        assert sum(chip.erase_counts) == 2
 
     def test_same_plane_blocks_rejected(self, chip):
         with pytest.raises(AddressError, match="distinct planes"):
-            chip.multi_erase([1, 3])
+            chip.erase_multi_pbn([1, 3])
 
 
 class TestDeviceMultiPlaneOps:

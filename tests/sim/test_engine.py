@@ -3,6 +3,7 @@
 import doctest
 import heapq
 import itertools
+import math
 import random
 from collections import deque
 
@@ -207,6 +208,22 @@ class TestRunControl:
         engine.run(until=2.0)
         assert log == ["now", "zero"]
         assert engine.now == 2.0
+
+    def test_run_until_before_now_rejected(self):
+        engine = Engine()
+        log = []
+        engine.timeout(10.0, log.append, "later")
+        engine.run(until=6.0)
+        engine.process(log.append, "now")
+        with pytest.raises(SimulationError, match="before now"):
+            engine.run(until=2.0)
+        with pytest.raises(SimulationError):
+            engine.run(until=math.nan)
+        assert engine.now == 6.0  # the clock never moves back
+        assert log == []  # and nothing ran at a rolled-back time
+        engine.run()
+        assert log == ["now", "later"]
+        assert engine.now == 10.0
 
     def test_many_processes_interleave(self):
         engine = Engine()

@@ -106,7 +106,6 @@ class TestWarmFill:
         ssd.warm_fill(1.0)
         assert ssd.ftl.map.mapped_count == ssd.ftl.num_lpns
         assert ssd.ftl.stats.host_write_pages == 0  # stats reset
-        assert ssd.ftl.device.stats.programs == 0
 
     def test_partial_fill(self, ssd):
         ssd.warm_fill(0.5)

@@ -124,7 +124,7 @@ class TestPPBProperties:
         for pbn in range(ftl.spec.total_blocks):
             if not ftl.vbmgr.is_carved(pbn):
                 continue
-            next_page = ftl.device.next_page(pbn)
+            next_page = ftl.device.write_ptr[pbn]
             vbs = ftl.vbmgr.vbs_of(pbn)
             for vb in vbs:
                 if vb.state is VBState.FREE:
