@@ -1,5 +1,6 @@
 """Golden CLI output: the reliability and placement sweep files, the
-two timed saturation files, and the dotted-path listing.
+two timed saturation files, the DFTL cache sweep, and the dotted-path
+listing.
 
 The ``cli_*_smoke.txt`` files under ``tests/golden/data/`` pin what
 ``repro scenario run`` prints for ``reliability_sweep.toml`` and
@@ -15,6 +16,12 @@ loop, QD 1/16/64, on 1- and 4-plane devices) and
 ``queueing_saturation.toml`` (open loop through 64 host-queue slots, at
 native and 16x load, per FTL), both narrowed to about a second.  Every
 percentile column moves if one calendar entry runs out of order.
+
+The ``cli_dftl_smoke.txt`` file pins the demand-paged mapping FTL's
+translation traffic on the multi-chip timed path: ``dftl_cache.toml``
+replays the same workload at cache ratios 0.02, 0.1 and 1 through the
+4-chip timed overlay, so its hit-rate and translation-read columns move
+if one mapping-cache step changes.
 
 The ``cli_paths_*.txt`` files pin ``repro scenario paths``: every
 sweepable dotted path with its type and default, for the stock spec
@@ -41,6 +48,10 @@ Regenerate only when a change is *meant* to alter results::
         --set device.speed_ratio=2 --set arrival.scale=1,16 \\
         --set arrival.queue_depth=64 \\
         > tests/golden/data/cli_queueing_smoke.txt
+    PYTHONPATH=src python -m repro scenario run \\
+        examples/scenarios/dftl_cache.toml --smoke \\
+        --set device.speed_ratio=2 \\
+        > tests/golden/data/cli_dftl_smoke.txt
     PYTHONPATH=src python -m repro scenario paths \\
         > tests/golden/data/cli_paths_default.txt
     PYTHONPATH=src python -m repro scenario paths \\
@@ -87,6 +98,12 @@ CASES = {
         "--set", "device.speed_ratio=2",
         "--set", "arrival.scale=1,16",
         "--set", "arrival.queue_depth=64",
+    ],
+    "cli_dftl_smoke.txt": [
+        "scenario", "run",
+        os.path.join(SCENARIO_DIR, "dftl_cache.toml"),
+        "--smoke",
+        "--set", "device.speed_ratio=2",
     ],
     "cli_paths_default.txt": ["scenario", "paths"],
     "cli_paths_multi_tenant.txt": [
