@@ -270,7 +270,8 @@ class BaseFTL:
     # ------------------------------------------------------------------
 
     def _make_map(self) -> PageMapTable:
-        """Build the L2P map (hook: DFTL substitutes a sparse table)."""
+        """Build the L2P map (hook: DFTL substitutes a sparse table on
+        geometries past the dense table's limit)."""
         return PageMapTable(self.num_lpns, self.spec.total_pages)
 
     def _commit_mapping(self, lpn: int, ppn: int) -> None:

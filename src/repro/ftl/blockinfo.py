@@ -70,7 +70,7 @@ def plane_striped_order(
     one, so write streams stripe across the planes the timed replay can
     overlap.  Blocks interleave across planes (in-chip block ``b`` sits
     on plane ``b % planes_per_chip``, see
-    :meth:`~repro.nand.geometry.Geometry.plane_of_pbn`), so the ``j``-th
+    :attr:`~repro.nand.spec.NandSpec.planes_per_chip`), so the ``j``-th
     block of a plane is ``plane + j * planes_per_chip``.  With one plane
     per chip this *is* ``chip_striped_order`` — byte-identical, keeping
     every existing replay untouched.

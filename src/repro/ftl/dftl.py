@@ -36,9 +36,16 @@ With a cache budget covering the full map (the default
 flash after first touch and no eviction ever happens, so the device
 traffic — and therefore every user-visible number — is byte-identical
 to :class:`~repro.ftl.conventional.ConventionalFTL`; the golden suite
-pins that equivalence.  The ground-truth map itself is a
-:class:`~repro.ftl.transmap.LazyPageMapTable`, so terabyte-scale
-geometries construct without allocating gigabytes of host RAM.
+pins that equivalence.
+
+The ground-truth map (what the simulator checks the demand-paged
+resolution against, not device state) is the dense
+:class:`~repro.ftl.mapping.PageMapTable` every other FTL uses whenever
+the geometry fits under
+:data:`~repro.ftl.mapping.FULL_MAP_MAX_ENTRIES`.  Past that limit it is
+a :class:`~repro.ftl.transmap.LazyPageMapTable`, so terabyte-scale
+geometries, which no other FTL can run, construct without allocating
+gigabytes of host RAM.  Both behave identically.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import TYPE_CHECKING
 from repro.ftl.blockinfo import TRANS_KLASS
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.gc import VictimPolicy
-from repro.ftl.mapping import UNMAPPED, PageMapTable
+from repro.ftl.mapping import FULL_MAP_MAX_ENTRIES, UNMAPPED, PageMapTable
 from repro.ftl.transmap import (
     CachedMappingTable,
     GlobalTranslationDirectory,
@@ -97,6 +104,9 @@ class DFTL(ConventionalFTL):
         #: effective CMT budget in entries.
         self.cache_entries = cfg.resolve_cache_entries(self.num_lpns)
         self.cmt = CachedMappingTable(self.cache_entries, self._epp)
+        #: entries one eviction round reclaims (a miss evicts only from
+        #: a full cache, so never more than it holds).
+        self._evict_batch = min(cfg.evict_batch, self.cache_entries)
         self.gtd = GlobalTranslationDirectory(self.num_lpns, self._epp)
         #: persisted translation-page contents, TVPN -> {lpn: ppn}: the
         #: on-flash snapshot a cache miss loads from, and what the
@@ -116,6 +126,8 @@ class DFTL(ConventionalFTL):
     # ------------------------------------------------------------------
 
     def _make_map(self) -> PageMapTable:
+        if self.spec.full_map_entries <= FULL_MAP_MAX_ENTRIES:
+            return super()._make_map()
         return LazyPageMapTable(self.num_lpns, self.spec.total_pages)
 
     # ------------------------------------------------------------------
@@ -137,7 +149,7 @@ class DFTL(ConventionalFTL):
         # The data program moved the page; the cached entry (resident
         # since _resolve_mapping, and never evicted mid-operation) now
         # diverges from its translation page until written back.
-        self.cmt.put(lpn, self.map.l2p[lpn], dirty=True)
+        self.cmt.update(lpn, self.map.l2p[lpn])
         if trans_us:
             self.stats.host_write_us += trans_us
             return latency + trans_us
@@ -149,7 +161,7 @@ class DFTL(ConventionalFTL):
         trans_us = self._resolve_mapping(lpn)
         super().trim(lpn)
         # Persisting the invalidation is a dirty entry like any update.
-        self.cmt.put(lpn, UNMAPPED, dirty=True)
+        self.cmt.update(lpn, UNMAPPED)
         return trans_us
 
     # ------------------------------------------------------------------
@@ -162,12 +174,12 @@ class DFTL(ConventionalFTL):
         if not 0 <= lpn < ftl_map.num_lpns:
             ftl_map.check_lpn(lpn)
         cmt = self.cmt
-        stats = self.stats
-        if cmt.lookup(lpn) is not None:
-            stats.bump("cmt.hits")
+        extra = self.stats.extra
+        if cmt.touch(lpn):
+            extra["cmt.hits"] = extra.get("cmt.hits", 0.0) + 1.0
             return 0.0
-        stats.bump("cmt.misses")
-        us = self._evict_for_room()
+        extra["cmt.misses"] = extra.get("cmt.misses", 0.0) + 1.0
+        us = self._evict_for_room() if cmt.is_full() else 0.0
         tvpn = lpn // self._epp
         tp_ppn = self.gtd.ppn_of(tvpn)
         if tp_ppn != UNMAPPED:
@@ -177,7 +189,7 @@ class DFTL(ConventionalFTL):
             # Never persisted: the directory itself answers the miss
             # (no flash page to read — a cold-device fast path).
             value = UNMAPPED
-        cmt.put(lpn, value, dirty=False)
+        cmt.insert(lpn, value)
         if us:
             reliability = self.reliability
             if reliability is not None:
@@ -185,48 +197,42 @@ class DFTL(ConventionalFTL):
         return us
 
     def _evict_for_room(self) -> float:
-        """Reclaim CMT space if full; returns write-back latency."""
+        """Reclaim a batch of entries from the full CMT (amortizing miss
+        handling); returns the write-back latency."""
         cmt = self.cmt
-        capacity = self.cache_entries
-        occupied = len(cmt)
-        if occupied < capacity:
-            return 0.0
+        extra = self.stats.extra
         us = 0.0
-        stats = self.stats
-        # Pop a batch per round (amortizing miss handling), but always
-        # at least enough for the incoming entry.
-        to_pop = max(min(self.mapping.evict_batch, occupied), occupied - capacity + 1)
-        for _ in range(to_pop):
-            lpn, ppn, dirty = cmt.evict_lru()
-            stats.bump("cmt.evictions")
-            if dirty:
-                us += self._writeback_group(lpn // self._epp, extra=((lpn, ppn),))
+        for _ in range(self._evict_batch):
+            # One at a time: a write-back's GC may reorder the cache.
+            batch = cmt.evict_lru()
+            extra["cmt.evictions"] = extra.get("cmt.evictions", 0.0) + 1.0
+            if batch is not None:
+                us += self._writeback(*batch)
         return us
 
-    def _writeback_group(self, tvpn: int, extra: tuple = ()) -> float:
-        """Flush every dirty entry of one translation page in one program."""
-        updates = dict(extra)
-        cmt = self.cmt
-        for lpn, ppn in cmt.dirty_entries_of(tvpn):
-            updates[lpn] = ppn
-            cmt.mark_clean(lpn)
-        self.stats.bump("cmt.writeback_entries", len(updates))
+    def _writeback(self, tvpn: int, updates: dict[int, int]) -> float:
+        """Persist one translation page's dirty batch in one program."""
+        extra = self.stats.extra
+        key = "cmt.writeback_entries"
+        extra[key] = extra.get(key, 0.0) + len(updates)
         return self._program_translation_page(tvpn, updates)
 
     def flush_mapping(self) -> float:
         """Write back every dirty cached entry (a power-down flush)."""
         us = 0.0
-        for tvpn in self.cmt.dirty_tvpns():
-            us += self._writeback_group(tvpn)
+        cmt = self.cmt
+        for tvpn in cmt.dirty_tvpns():
+            us += self._writeback(tvpn, cmt.take_dirty(tvpn))
         return us
 
     def _read_translation_page(self, ppn: int) -> float:
         """Read one translation page (a real device op, retries included)."""
         us = self.device.read_ppn(ppn)
-        us += self._reliability_read_penalty(ppn)
-        stats = self.stats
-        stats.bump("trans.reads")
-        stats.bump("trans.read_us", us)
+        if self.reliability is not None:
+            us += self._reliability_read_penalty(ppn)
+        extra = self.stats.extra
+        extra["trans.reads"] = extra.get("trans.reads", 0.0) + 1.0
+        extra["trans.read_us"] = extra.get("trans.read_us", 0.0) + us
         return us
 
     def _program_translation_page(self, tvpn: int, updates: dict[int, int]) -> float:
@@ -262,9 +268,9 @@ class DFTL(ConventionalFTL):
             self.blocks.note_invalidate(cur_ppn // self._ppb)
         gtd.update(tvpn, dst)
         self._note_if_full(dst)
-        stats = self.stats
-        stats.bump("trans.writes")
-        stats.bump("trans.write_us", write_us)
+        extra = self.stats.extra
+        extra["trans.writes"] = extra.get("trans.writes", 0.0) + 1.0
+        extra["trans.write_us"] = extra.get("trans.write_us", 0.0) + write_us
         return us + write_us + stall_us
 
     def _alloc_trans_ppn(self) -> tuple[int, float]:
@@ -319,10 +325,7 @@ class DFTL(ConventionalFTL):
             self._trans_active = None
 
     def _on_gc_copy(self, lpn: int, old_ppn: int, new_ppn: int) -> None:
-        cmt = self.cmt
-        if lpn in cmt:
-            cmt.put(lpn, new_ppn, dirty=True)
-        else:
+        if not self.cmt.update(lpn, new_ppn):
             # Lazy copying: uncached relocations batch into per-TVPN
             # translation rewrites at the end of this collect.
             self._gc_map_updates.setdefault(lpn // self._epp, {})[lpn] = new_ppn
@@ -334,9 +337,10 @@ class DFTL(ConventionalFTL):
         self._gc_map_updates = {}
         try:
             latency = super()._collect(victim)
+            extra = self.stats.extra
             for tvpn, updates in self._gc_map_updates.items():
                 flush_us = self._program_translation_page(tvpn, updates)
-                self.stats.bump("trans.gc_flush_us", flush_us)
+                extra["trans.gc_flush_us"] = extra.get("trans.gc_flush_us", 0.0) + flush_us
                 latency += flush_us
         finally:
             self._in_collect = False
@@ -347,6 +351,7 @@ class DFTL(ConventionalFTL):
         """Consolidate a translation block: relocate live pages, erase."""
         stats = self.stats
         stats.gc_runs += 1
+        extra = stats.extra
         latency = 0.0
         device = self.device
         gtd = self.gtd
@@ -368,7 +373,7 @@ class DFTL(ConventionalFTL):
                 stats.gc_copied_pages += 1
                 stats.gc_read_us += read_us
                 stats.gc_write_us += write_us
-                stats.bump("trans.gc_copies")
+                extra["trans.gc_copies"] = extra.get("trans.gc_copies", 0.0) + 1.0
                 latency += read_us + write_us
         finally:
             self._in_collect = False
@@ -414,8 +419,7 @@ class DFTL(ConventionalFTL):
         # Every cached entry must agree with the ground-truth map: the
         # CMT is updated on the spot by writes, trims and GC copies.
         l2p = self.map.l2p
-        for lpn in list(self.cmt._entries):
-            cached = self.cmt.peek(lpn)
+        for lpn, cached in self.cmt.items():
             truth = l2p[lpn]
             if cached != truth:
                 raise AssertionError(

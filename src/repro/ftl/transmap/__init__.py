@@ -9,8 +9,10 @@ The pieces the ``dftl`` FTL composes:
 * :class:`GlobalTranslationDirectory` — where each translation page
   currently lives on flash (TVPN -> PPN, with the reverse map GC needs);
 * :class:`LazyPageMapTable` — a sparse, dict-backed drop-in for
-  :class:`~repro.ftl.mapping.PageMapTable`, so terabyte-scale
-  geometries construct without allocating the full map.
+  :class:`~repro.ftl.mapping.PageMapTable`, the ground-truth map only
+  for geometries past :data:`~repro.ftl.mapping.FULL_MAP_MAX_ENTRIES`
+  (which no other FTL can run), so they construct without allocating
+  the full map.
 """
 
 from repro.ftl.transmap.cache import CachedMappingTable

@@ -9,17 +9,18 @@ batch-flush every dirty neighbour in one page program, which is the
 write-amplification lever of the DFTL design.
 
 The cache itself never touches the device: the owning FTL interprets
-evictions and dirty groups into real NAND operations.
+evictions and dirty groups into real NAND operations.  Each method is
+one whole step of the FTL's translation path (a hit, a fill after a
+miss, a mapping update, an eviction, a flush batch), so a step costs
+one call.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import ItemsView
 
 from repro.errors import FtlError, MappingError
-
-#: distinguishes "not cached" from a cached UNMAPPED (-1) entry.
-_ABSENT = object()
 
 
 class CachedMappingTable:
@@ -36,121 +37,123 @@ class CachedMappingTable:
         self.entries_per_page = entries_per_page
         #: LPN -> PPN in LRU order (oldest first).
         self._entries: OrderedDict[int, int] = OrderedDict()
-        #: LPNs whose cached mapping is newer than the persisted one.
-        self._dirty: set[int] = set()
-        #: TVPN -> dirty LPNs of that translation page (batch flushing).
+        #: TVPN -> dirty LPNs of that translation page (batch flushing);
+        #: an LPN is dirty iff it is in its TVPN's group.
         self._dirty_groups: dict[int, set[int]] = {}
-        self.hits = 0
-        self.misses = 0
         self.insertions = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, lpn: int) -> bool:
-        return lpn in self._entries
-
     @property
     def dirty_count(self) -> int:
         """Entries awaiting write-back."""
-        return len(self._dirty)
+        return sum(len(group) for group in self._dirty_groups.values())
 
-    def lookup(self, lpn: int) -> int | None:
-        """The cached PPN of ``lpn`` (refreshing LRU), or None on a miss."""
-        entries = self._entries
-        ppn = entries.get(lpn, _ABSENT)
-        if ppn is _ABSENT:
-            self.misses += 1
-            return None
-        entries.move_to_end(lpn)
-        self.hits += 1
-        return ppn
+    def items(self) -> ItemsView[int, int]:
+        """Cached ``(lpn, ppn)`` pairs in LRU order (oldest first)."""
+        return self._entries.items()
 
     def peek(self, lpn: int) -> int | None:
-        """The cached PPN without touching LRU order or counters."""
-        ppn = self._entries.get(lpn, _ABSENT)
-        return None if ppn is _ABSENT else ppn
+        """The cached PPN without touching LRU order, or None."""
+        return self._entries.get(lpn)
 
-    def put(self, lpn: int, ppn: int, dirty: bool) -> None:
-        """Insert or update an entry (updates refresh LRU order).
+    def is_full(self) -> bool:
+        """Whether a miss must evict before :meth:`insert`."""
+        return len(self._entries) >= self.capacity
+
+    # ------------------------------------------------------------------
+    # Translation-path steps
+    # ------------------------------------------------------------------
+
+    def touch(self, lpn: int) -> bool:
+        """A lookup: on a hit refresh ``lpn``'s LRU position and return
+        True; on a miss return False and change nothing."""
+        entries = self._entries
+        if lpn in entries:
+            entries.move_to_end(lpn)
+            return True
+        return False
+
+    def insert(self, lpn: int, ppn: int) -> None:
+        """Cache the mapping of an ``lpn`` that just missed (clean, most
+        recent).
 
         Inserting into a full cache is a caller bug — the owning FTL
         must evict first so the flush traffic is accounted.
         """
         entries = self._entries
-        if lpn in entries:
-            entries[lpn] = ppn
-            entries.move_to_end(lpn)
-        else:
-            if len(entries) >= self.capacity:
-                raise FtlError(
-                    f"mapping cache full ({self.capacity} entries); "
-                    "evict before inserting"
-                )
-            entries[lpn] = ppn
-            self.insertions += 1
-        if dirty and lpn not in self._dirty:
-            self._dirty.add(lpn)
-            self._dirty_groups.setdefault(
-                lpn // self.entries_per_page, set()
-            ).add(lpn)
+        if len(entries) >= self.capacity:
+            raise FtlError(
+                f"mapping cache full ({self.capacity} entries); "
+                "evict before inserting"
+            )
+        entries[lpn] = ppn
+        self.insertions += 1
 
-    def evict_lru(self) -> tuple[int, int, bool]:
-        """Pop the least-recently-used entry; returns (lpn, ppn, was_dirty).
-
-        A dirty victim is *handed to the caller* for write-back — the
-        cache forgets it, so losing it is the caller's (tested) bug.
-        """
-        if not self._entries:
-            raise FtlError("mapping cache empty; nothing to evict")
-        lpn, ppn = self._entries.popitem(last=False)
-        self.evictions += 1
-        dirty = lpn in self._dirty
-        if dirty:
-            self._drop_dirty(lpn)
-        return lpn, ppn, dirty
-
-    def mark_clean(self, lpn: int) -> None:
-        """The entry's mapping was persisted; keep it cached, clean."""
-        if lpn in self._dirty:
-            self._drop_dirty(lpn)
-
-    def dirty_entries_of(self, tvpn: int) -> list[tuple[int, int]]:
-        """Dirty (lpn, ppn) pairs of one translation page, LPN-ascending."""
-        lpns = self._dirty_groups.get(tvpn)
-        if not lpns:
-            return []
+    def update(self, lpn: int, ppn: int) -> bool:
+        """Record a new mapping for a cached ``lpn``: store it, refresh
+        its LRU position and mark it dirty.  Returns False (changing
+        nothing) when ``lpn`` is not cached."""
         entries = self._entries
-        return [(lpn, entries[lpn]) for lpn in sorted(lpns)]
+        if lpn not in entries:
+            return False
+        entries[lpn] = ppn
+        entries.move_to_end(lpn)
+        tvpn = lpn // self.entries_per_page
+        group = self._dirty_groups.get(tvpn)
+        if group is None:
+            self._dirty_groups[tvpn] = {lpn}
+        else:
+            group.add(lpn)
+        return True
+
+    def evict_lru(self) -> tuple[int, dict[int, int]] | None:
+        """Pop the least-recently-used entry.
+
+        A clean victim returns None.  A dirty one returns its write-back
+        batch ``(tvpn, updates)``: the victim's mapping first, then every
+        other dirty entry of its translation page (LPN-ascending, see
+        :meth:`take_dirty`), all now clean.  The cache forgets the
+        victim, so losing the batch is the caller's (tested) bug.
+        """
+        entries = self._entries
+        if not entries:
+            raise FtlError("mapping cache empty; nothing to evict")
+        lpn, ppn = entries.popitem(last=False)
+        self.evictions += 1
+        tvpn = lpn // self.entries_per_page
+        group = self._dirty_groups.get(tvpn)
+        if group is None or lpn not in group:
+            return None
+        group.discard(lpn)
+        updates = {lpn: ppn}
+        updates.update(self.take_dirty(tvpn))
+        return tvpn, updates
+
+    def take_dirty(self, tvpn: int) -> dict[int, int]:
+        """Mark one translation page's dirty entries clean and return
+        them (``lpn -> ppn``, LPN-ascending): the batch its write-back
+        persists.  The entries stay cached."""
+        group = self._dirty_groups.pop(tvpn, None)
+        if not group:
+            return {}
+        entries = self._entries
+        return {lpn: entries[lpn] for lpn in sorted(group)}
 
     def dirty_tvpns(self) -> list[int]:
         """Translation pages with at least one dirty entry, ascending."""
         return sorted(self._dirty_groups)
 
-    def _drop_dirty(self, lpn: int) -> None:
-        self._dirty.discard(lpn)
-        tvpn = lpn // self.entries_per_page
-        group = self._dirty_groups.get(tvpn)
-        if group is not None:
-            group.discard(lpn)
-            if not group:
-                del self._dirty_groups[tvpn]
-
     # ------------------------------------------------------------------
 
     def check_consistency(self) -> None:
         """Internal invariants (test support)."""
-        if len(self._entries) > self.capacity:
+        entries = self._entries
+        if len(entries) > self.capacity:
             raise MappingError(
-                f"cache holds {len(self._entries)} > capacity {self.capacity}"
+                f"cache holds {len(entries)} > capacity {self.capacity}"
             )
-        for lpn in self._dirty:
-            if lpn not in self._entries:
-                raise MappingError(f"dirty LPN {lpn} is not cached")
-        grouped = set()
         for tvpn, lpns in self._dirty_groups.items():
             if not lpns:
                 raise MappingError(f"empty dirty group for TVPN {tvpn}")
@@ -159,11 +162,10 @@ class CachedMappingTable:
                     raise MappingError(
                         f"LPN {lpn} filed under wrong TVPN {tvpn}"
                     )
-            grouped |= lpns
-        if grouped != self._dirty:
-            raise MappingError("dirty set and dirty groups disagree")
-        if self.insertions - self.evictions != len(self._entries):
+                if lpn not in entries:
+                    raise MappingError(f"dirty LPN {lpn} is not cached")
+        if self.insertions - self.evictions != len(entries):
             raise MappingError(
                 f"{self.insertions} insertions - {self.evictions} evictions "
-                f"!= {len(self._entries)} resident entries"
+                f"!= {len(entries)} resident entries"
             )

@@ -41,14 +41,17 @@ class GlobalTranslationDirectory:
         """Translation pages currently persisted on flash."""
         return len(self._ppn_of)
 
-    def tvpn_of_lpn(self, lpn: int) -> int:
-        """The translation page covering a logical page."""
-        return lpn // self.entries_per_page
-
     def ppn_of(self, tvpn: int) -> int:
-        """Where the translation page lives on flash, or -1 if never written."""
-        self._check(tvpn)
-        return self._ppn_of.get(tvpn, UNMAPPED)
+        """Where the translation page lives on flash, or -1 if never written.
+
+        Only a TVPN with no copy is range-checked: one with a copy
+        passed the check when :meth:`update` recorded it.
+        """
+        ppn = self._ppn_of.get(tvpn)
+        if ppn is None:
+            self._check(tvpn)
+            return UNMAPPED
+        return ppn
 
     def tvpn_at(self, ppn: int) -> int:
         """Which translation page's current copy occupies ``ppn``, or -1."""

@@ -11,7 +11,11 @@ that read :data:`UNMAPPED` for absent keys and drop keys assigned
 
 Memory is proportional to *mapped* pages, so a terabyte-scale DFTL run
 that touches a bounded working set stays small, and construction is
-O(1) regardless of geometry.
+O(1) regardless of geometry.  DFTL uses it only past
+:data:`~repro.ftl.mapping.FULL_MAP_MAX_ENTRIES`, where the dense table
+refuses to allocate; below that limit the dense lists are faster (each
+remap is three list stores, not three Python-level ``__setitem__``
+calls) and smaller once more than a few percent of the map is mapped.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Flat and structured NAND address translation.
 
 The FTL layers address pages with a flat *physical page number* (PPN) and
-blocks with a flat *physical block number* (PBN).  This module converts
-from structured (chip, block, page) / (chip, block) coordinates to
-those flat numbers, and back to a page's block, chip and plane.
+blocks with a flat *physical block number* (PBN).  This module maps
+those flat numbers to a page's block, page index and chip, and a chip
+to its channel.
 
 Layout: PPNs are block-major — all pages of PBN 0, then all pages of
 PBN 1, ... — so ``ppn // pages_per_block == pbn`` and
@@ -28,31 +28,8 @@ class Geometry:
         self.num_channels = spec.num_channels
         self.total_blocks = spec.total_blocks
         self.total_pages = spec.total_pages
-        self.planes_per_chip = spec.planes_per_chip
         #: pages per chip, for the flat chip-of-PPN arithmetic.
         self.pages_per_chip = spec.blocks_per_chip * spec.pages_per_block
-
-    # -- (chip, block-in-chip, page) -> PPN ---------------------------
-
-    def make_ppn(self, chip: int, block: int, page: int) -> int:
-        """Return the flat PPN for structured coordinates."""
-        if not 0 <= chip < self.num_chips:
-            raise AddressError(f"chip {chip} out of range [0, {self.num_chips})")
-        if not 0 <= block < self.blocks_per_chip:
-            raise AddressError(f"block {block} out of range [0, {self.blocks_per_chip})")
-        if not 0 <= page < self.pages_per_block:
-            raise AddressError(f"page {page} out of range [0, {self.pages_per_block})")
-        return (chip * self.blocks_per_chip + block) * self.pages_per_block + page
-
-    # -- (chip, block-in-chip) -> PBN ---------------------------------
-
-    def make_pbn(self, chip: int, block: int) -> int:
-        """Return the flat PBN for structured coordinates."""
-        if not 0 <= chip < self.num_chips:
-            raise AddressError(f"chip {chip} out of range [0, {self.num_chips})")
-        if not 0 <= block < self.blocks_per_chip:
-            raise AddressError(f"block {block} out of range [0, {self.blocks_per_chip})")
-        return chip * self.blocks_per_chip + block
 
     # -- Flat helpers (hot path: inline range check, arithmetic only) ---
 
@@ -86,26 +63,6 @@ class Geometry:
         if not 0 <= ppn < self.total_pages:
             self.check_ppn(ppn)
         return ppn // self.pages_per_chip
-
-    def plane_of_pbn(self, pbn: int) -> int:
-        """Plane (inside its chip) holding block ``pbn``.
-
-        Blocks interleave across planes (in-chip block ``b`` sits on
-        plane ``b % planes_per_chip``), mirroring the chip-across-channel
-        interleave: consecutive blocks of a chip land on different
-        planes, so a striped free pool spreads plane load for free.
-        """
-        if not 0 <= pbn < self.total_blocks:
-            self.check_pbn(pbn)
-        return (pbn % self.blocks_per_chip) % self.planes_per_chip
-
-    def plane_of_ppn(self, ppn: int) -> int:
-        """Plane (inside its chip) holding ``ppn``."""
-        if not 0 <= ppn < self.total_pages:
-            self.check_ppn(ppn)
-        return (
-            ppn // self.pages_per_block % self.blocks_per_chip
-        ) % self.planes_per_chip
 
     def channel_of_chip(self, chip: int) -> int:
         """Host-interface channel chip ``chip`` is wired to.

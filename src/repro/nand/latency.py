@@ -114,16 +114,6 @@ class LatencyModel:
     # Scalar queries (hot path: called once per simulated page op)
     # ------------------------------------------------------------------
 
-    def read_us(self, page_index: int) -> float:
-        """Latency of reading one page at ``page_index`` within its block
-        (array read + bus transfer)."""
-        return self.read_total_us[page_index]
-
-    def program_us(self, page_index: int) -> float:
-        """Latency of programming one page at ``page_index`` (bus
-        transfer + array program)."""
-        return self.program_total_us[page_index]
-
     def retry_read_us(self, page_index: int, steps: int) -> float:
         """Extra latency of ``steps`` ECC read-retry attempts on a page.
 
@@ -151,11 +141,6 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Aggregate / analysis helpers
     # ------------------------------------------------------------------
-
-    def mean_read_us(self) -> float:
-        """Mean read latency (array + transfer) over all page positions
-        in a block."""
-        return float(np.mean(self.read_us_by_page)) + self._page_transfer_us
 
     def fastest_page_read_us(self) -> float:
         """Array read latency of the fastest (bottom-layer) page."""

@@ -194,8 +194,8 @@ class NandSpec:
     def blocks_per_plane(self) -> int:
         """Blocks each plane of a chip holds.
 
-        The block -> plane mapping itself lives in one place only:
-        :meth:`repro.nand.geometry.Geometry.plane_of_pbn`.
+        Block ``b`` of a chip sits on plane ``b % planes_per_chip``
+        (see :attr:`planes_per_chip`).
         """
         return self.blocks_per_chip // self.planes_per_chip
 

@@ -87,7 +87,7 @@ class TestGarbageCollection:
         saw_stall = False
         for _ in range(ftl.num_lpns * 4):
             latency = ftl.host_write(int(rng.integers(0, ftl.num_lpns)))
-            if latency > ftl.device.latency.program_us(0) * 2:
+            if latency > ftl.device.latency.program_total_us[0] * 2:
                 saw_stall = True
         assert saw_stall
 
@@ -141,8 +141,11 @@ class TestPlaneStriping:
         groups = ftl.blocks.num_groups  # chips x planes = 4
         for lpn in range(groups):
             ftl.host_write(lpn)
+        spec = ftl.spec
         planes = {
-            ftl.device.geometry.plane_of_ppn(ftl.map.ppn_of(lpn))
+            ftl.map.ppn_of(lpn) // spec.pages_per_block
+            % spec.blocks_per_chip
+            % spec.planes_per_chip
             for lpn in range(groups)
         }
         chips = {

@@ -48,30 +48,51 @@ class TestMappingConfig:
 
 
 class TestCachedMappingTable:
-    def test_hit_miss_counters_and_lru(self):
+    def test_touch_refreshes_lru(self):
         cmt = CachedMappingTable(capacity=2, entries_per_page=4)
-        assert cmt.lookup(1) is None
-        cmt.put(1, 100, dirty=False)
-        cmt.put(2, 200, dirty=False)
-        assert cmt.lookup(1) == 100  # refreshes 1; 2 is now LRU
-        assert (cmt.hits, cmt.misses) == (1, 1)
-        lpn, ppn, dirty = cmt.evict_lru()
-        assert (lpn, ppn, dirty) == (2, 200, False)
+        assert not cmt.touch(1)  # a miss changes nothing
+        assert not cmt.items()
+        cmt.insert(1, 100)
+        cmt.insert(2, 200)
+        assert cmt.touch(1)  # refreshes 1; 2 is now LRU
+        assert list(cmt.items()) == [(2, 200), (1, 100)]
+        assert cmt.evict_lru() is None  # 2 was clean
+        assert cmt.peek(2) is None and cmt.peek(1) == 100
 
     def test_cached_unmapped_is_a_hit_not_a_miss(self):
         cmt = CachedMappingTable(capacity=2, entries_per_page=4)
-        cmt.put(5, UNMAPPED, dirty=False)
-        assert cmt.lookup(5) == UNMAPPED  # distinct from the None miss
-        assert cmt.hits == 1 and cmt.misses == 0
+        cmt.insert(5, UNMAPPED)
+        assert cmt.touch(5)
+        assert cmt.peek(5) == UNMAPPED  # distinct from the None miss
+        assert cmt.peek(6) is None
 
     def test_insert_into_full_cache_is_a_caller_bug(self):
         cmt = CachedMappingTable(capacity=1, entries_per_page=4)
-        cmt.put(1, 100, dirty=False)
+        assert not cmt.is_full()
+        cmt.insert(1, 100)
+        assert cmt.is_full()
         with pytest.raises(FtlError, match="full"):
-            cmt.put(2, 200, dirty=False)
+            cmt.insert(2, 200)
         # updating a resident entry is always allowed
-        cmt.put(1, 101, dirty=True)
+        assert cmt.update(1, 101)
         assert cmt.peek(1) == 101
+
+    def test_update_of_uncached_entry_changes_nothing(self):
+        cmt = CachedMappingTable(capacity=2, entries_per_page=4)
+        cmt.insert(1, 100)
+        assert not cmt.update(2, 200)
+        assert cmt.peek(2) is None and cmt.dirty_count == 0
+        cmt.check_consistency()
+
+    def test_update_refreshes_lru_and_marks_dirty(self):
+        cmt = CachedMappingTable(capacity=3, entries_per_page=4)
+        for lpn in (1, 2, 3):
+            cmt.insert(lpn, 100 + lpn)
+        assert cmt.update(1, 111)
+        assert cmt.update(1, 112)  # re-dirtying counts once
+        assert list(cmt.items()) == [(2, 102), (3, 103), (1, 112)]
+        assert cmt.dirty_count == 1 and cmt.dirty_tvpns() == [0]
+        cmt.check_consistency()
 
     def test_evict_empty_rejected(self):
         cmt = CachedMappingTable(capacity=1, entries_per_page=4)
@@ -80,33 +101,43 @@ class TestCachedMappingTable:
 
     def test_dirty_groups_batch_by_translation_page(self):
         cmt = CachedMappingTable(capacity=8, entries_per_page=4)
+        for lpn in (0, 1, 5, 2, 3):
+            cmt.insert(lpn, lpn)
         for lpn in (0, 1, 5, 2):
-            cmt.put(lpn, 100 + lpn, dirty=True)
-        cmt.put(3, 103, dirty=False)
+            cmt.update(lpn, 100 + lpn)
         assert cmt.dirty_tvpns() == [0, 1]
-        assert cmt.dirty_entries_of(0) == [(0, 100), (1, 101), (2, 102)]
-        assert cmt.dirty_entries_of(1) == [(5, 105)]
-        cmt.mark_clean(1)
-        assert cmt.dirty_entries_of(0) == [(0, 100), (2, 102)]
-        assert cmt.dirty_count == 3
+        assert cmt.dirty_count == 4
+        assert cmt.take_dirty(0) == {0: 100, 1: 101, 2: 102}
+        assert cmt.take_dirty(0) == {}  # now clean, still cached
+        assert cmt.dirty_tvpns() == [1] and cmt.peek(0) == 100
+        assert cmt.take_dirty(1) == {5: 105}
+        assert cmt.dirty_count == 0
         cmt.check_consistency()
 
     def test_evicting_dirty_entry_hands_it_to_the_caller(self):
-        cmt = CachedMappingTable(capacity=2, entries_per_page=4)
-        cmt.put(1, 100, dirty=True)
-        cmt.put(2, 200, dirty=False)
-        lpn, ppn, dirty = cmt.evict_lru()
-        assert (lpn, ppn, dirty) == (1, 100, True)
-        # the cache has forgotten it entirely
-        assert 1 not in cmt and cmt.dirty_count == 0
+        cmt = CachedMappingTable(capacity=4, entries_per_page=4)
+        for lpn in (3, 2, 1, 6):
+            cmt.insert(lpn, lpn)
+        for lpn in (3, 1, 2, 6):
+            cmt.update(lpn, 100 + lpn)
+        # LRU order is now 3, 1, 2, 6: the victim leads its batch, then
+        # the other dirty entries of TVPN 0 in LPN order
+        tvpn, updates = cmt.evict_lru()
+        assert tvpn == 0
+        assert list(updates.items()) == [(3, 103), (1, 101), (2, 102)]
+        # the cache has forgotten the victim; its page-mates stay, clean
+        assert cmt.peek(3) is None
+        assert (cmt.peek(1), cmt.peek(2)) == (101, 102)
+        assert cmt.dirty_tvpns() == [1] and cmt.dirty_count == 1
+        assert cmt.evict_lru() is None  # 1 was cleaned by the batch
         cmt.check_consistency()
 
     def test_counter_arithmetic(self):
         cmt = CachedMappingTable(capacity=4, entries_per_page=4)
         for lpn in range(4):
-            cmt.put(lpn, lpn, dirty=False)
+            cmt.insert(lpn, lpn)
         cmt.evict_lru()
-        assert cmt.insertions - cmt.evictions == len(cmt) == 3
+        assert cmt.insertions - cmt.evictions == len(cmt.items()) == 3
         cmt.check_consistency()
 
     @pytest.mark.parametrize("kwargs", [dict(capacity=0), dict(entries_per_page=0)])
@@ -142,11 +173,15 @@ class TestGlobalTranslationDirectory:
             gtd.ppn_of(4)
         with pytest.raises(MappingError, match="out of range"):
             gtd.update(-1, 0)
+        gtd.update(3, 9)
+        assert gtd.ppn_of(3) == 9  # a persisted TVPN skips the check
 
     def test_partial_last_page(self):
         gtd = GlobalTranslationDirectory(num_lpns=10, entries_per_page=4)
         assert gtd.num_translation_pages == 3  # ceil(10 / 4)
-        assert gtd.tvpn_of_lpn(9) == 2
+        gtd.update(2, 0)  # LPN 9's page is the last, partial one
+        with pytest.raises(MappingError, match="out of range"):
+            gtd.update(3, 1)
 
 
 class TestLazyPageMapTable:

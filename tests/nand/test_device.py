@@ -9,6 +9,8 @@ from repro.ftl.conventional import ConventionalFTL
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 
+from tests.nand.addresses import ppn_at
+
 
 class TestFlatAddressing:
     def test_program_read_first_page(self, device):
@@ -18,7 +20,7 @@ class TestFlatAddressing:
 
     def test_cross_chip_routing(self):
         device = NandDevice(tiny_spec(num_chips=2))
-        second_chip_ppn = device.geometry.make_ppn(1, 0, 0)
+        second_chip_ppn = ppn_at(device.geometry, 1, 0, 0)
         device.begin_oplog()
         device.program_ppn(second_chip_ppn)
         ((chip, *_),) = device.end_oplog()
@@ -52,7 +54,7 @@ class TestWritePointerArray:
     def test_chips_write_their_slice(self):
         device = NandDevice(tiny_spec(num_chips=2))
         pbn = device.spec.blocks_per_chip + 1  # chip 1, block 1
-        device.program_ppn(device.geometry.make_ppn(1, 1, 2))
+        device.program_ppn(ppn_at(device.geometry, 1, 1, 2))
         assert device.write_ptr[pbn] == 3
         assert device.write_ptr.count(0) == device.spec.total_blocks - 1
 
@@ -66,7 +68,7 @@ class TestWritePointerArray:
         assert clone._write_ptr is device.write_ptr
         assert all(bitmap is device._blank for bitmap in device.programmed)
         pbn = device.spec.blocks_per_chip + 1
-        device.program_ppn(device.geometry.make_ppn(1, 1, 0))
+        device.program_ppn(ppn_at(device.geometry, 1, 1, 0))
         assert device.write_ptr[pbn] == 1
         assert clone._write_ptr[pbn] == 1
         assert ftl.device.write_ptr[pbn] == 0
@@ -77,7 +79,7 @@ class TestTagContract:
         device = NandDevice(tiny_spec(num_chips=2))
         device.program_ppn(0, lpn=8, version=13)
         device.program_ppn(1)
-        dst = device.geometry.make_ppn(1, 0, 0)
+        dst = ppn_at(device.geometry, 1, 0, 0)
         device.copy_page(0, dst)
         device.copy_page(1, dst + 1)
         assert device.tag(dst) == (8, 13)
@@ -85,19 +87,19 @@ class TestTagContract:
 
     def test_same_chip_copy_carries_its_tag(self, device):
         device.program_ppn(0, lpn=8, version=13)
-        dst = device.geometry.make_ppn(0, 1, 0)
+        dst = ppn_at(device.geometry, 0, 1, 0)
         device.copy_page(0, dst)
         assert device.tag(dst) == (8, 13)
 
     def test_multi_program_stores_each_planes_tag(self):
         device = NandDevice(tiny_spec(planes_per_chip=2))
-        ppns = [device.geometry.make_ppn(0, block, 0) for block in (0, 1)]
+        ppns = [ppn_at(device.geometry, 0, block, 0) for block in (0, 1)]
         device.program_multi_ppn(ppns, tags=[(4, 10), (6, 11)])
         assert [device.tag(ppn) for ppn in ppns] == [(4, 10), (6, 11)]
 
     def test_multi_erase_clears_every_siblings_tags(self):
         device = NandDevice(tiny_spec(planes_per_chip=2))
-        ppns = [device.geometry.make_ppn(0, block, 0) for block in (0, 1)]
+        ppns = [ppn_at(device.geometry, 0, block, 0) for block in (0, 1)]
         device.program_multi_ppn(ppns, tags=[(4, 10), (6, 11)])
         device.erase_multi_pbn([0, 1])
         device.program_multi_ppn(ppns)
@@ -151,7 +153,7 @@ class TestOpLog:
         spec = tiny_spec(num_chips=2)
         device = NandDevice(spec)
         device.program_ppn(0, lpn=2, version=3)
-        cross_chip_dst = device.geometry.make_ppn(1, 0, 0)
+        cross_chip_dst = ppn_at(device.geometry, 1, 0, 0)
         device.begin_oplog()
         device.copy_page(0, cross_chip_dst)
         erase_pbn = 0

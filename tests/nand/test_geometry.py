@@ -7,6 +7,8 @@ from repro.errors import AddressError
 from repro.nand.geometry import Geometry
 from repro.nand.spec import tiny_spec
 
+from tests.nand.addresses import pbn_at, ppn_at
+
 
 @pytest.fixture
 def geometry() -> Geometry:
@@ -31,7 +33,7 @@ class TestPpnRoundTrip:
         assert page == geometry.pages_per_block - 1
 
     def test_make_then_split(self, geometry):
-        ppn = geometry.make_ppn(1, 3, 7)
+        ppn = ppn_at(geometry, 1, 3, 7)
         assert _coordinates(geometry, ppn) == (1, 3, 7)
 
     @given(ppn=st.integers(min_value=0, max_value=2 * 64 * 16 - 1))
@@ -39,7 +41,7 @@ class TestPpnRoundTrip:
     def test_round_trip_everywhere(self, ppn):
         geometry = Geometry(tiny_spec(num_chips=2))
         chip, block, page = _coordinates(geometry, ppn)
-        assert geometry.make_ppn(chip, block, page) == ppn
+        assert ppn_at(geometry, chip, block, page) == ppn
 
     def test_out_of_range_rejected(self, geometry):
         with pytest.raises(AddressError):
@@ -47,12 +49,12 @@ class TestPpnRoundTrip:
         with pytest.raises(AddressError):
             geometry.chip_of_ppn(-1)
         with pytest.raises(AddressError):
-            geometry.make_ppn(0, 0, geometry.pages_per_block)
+            geometry.page_of_ppn(geometry.total_pages)
 
 
 class TestPbnRoundTrip:
     def test_make_then_split(self, geometry):
-        pbn = geometry.make_pbn(1, 5)
+        pbn = pbn_at(geometry, 1, 5)
         assert divmod(pbn, geometry.blocks_per_chip) == (1, 5)
         assert geometry.chip_of_ppn(geometry.first_ppn_of_pbn(pbn)) == 1
 
@@ -61,13 +63,13 @@ class TestPbnRoundTrip:
     def test_round_trip_everywhere(self, pbn):
         geometry = Geometry(tiny_spec(num_chips=2))
         chip = geometry.chip_of_ppn(geometry.first_ppn_of_pbn(pbn))
-        assert geometry.make_pbn(chip, pbn % geometry.blocks_per_chip) == pbn
+        assert pbn_at(geometry, chip, pbn % geometry.blocks_per_chip) == pbn
 
-    def test_bad_coordinates_rejected(self, geometry):
+    def test_out_of_range_rejected(self, geometry):
         with pytest.raises(AddressError):
-            geometry.make_pbn(2, 0)
+            geometry.first_ppn_of_pbn(geometry.total_blocks)
         with pytest.raises(AddressError):
-            geometry.make_pbn(0, 64)
+            geometry.ppn_range_of_pbn(-1)
 
 
 class TestBlockPageRelations:

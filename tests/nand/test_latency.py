@@ -35,7 +35,7 @@ class TestLinearProfile:
         spec = tiny_spec(speed_ratio=ratio)
         model = LatencyModel(spec)
         expected = spec.read_us * (1 + ratio) / 2
-        array_mean = model.mean_read_us() - spec.transfer_us()
+        array_mean = float(np.mean(model.read_us_by_page))
         assert array_mean == pytest.approx(expected, rel=0.02)
 
 
@@ -63,7 +63,9 @@ class TestOtherProfiles:
     def test_uniform_preserves_linear_mean(self):
         linear = LatencyModel(tiny_spec(speed_ratio=3.0))
         uniform = LatencyModel(tiny_spec(speed_ratio=3.0, latency_profile="uniform"))
-        assert uniform.mean_read_us() == pytest.approx(linear.mean_read_us(), rel=0.02)
+        assert np.mean(uniform.read_us_by_page) == pytest.approx(
+            np.mean(linear.read_us_by_page), rel=0.02
+        )
 
 
 class TestProgramAsymmetry:
@@ -88,7 +90,7 @@ class TestTransferAndErase:
     def test_read_includes_transfer_by_default(self):
         spec = tiny_spec()
         model = LatencyModel(spec)
-        with_transfer = model.read_us(0)
+        with_transfer = model.read_total_us[0]
         without = model.read_array_us[0]
         assert with_transfer == pytest.approx(without + spec.transfer_us())
 

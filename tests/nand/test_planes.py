@@ -15,8 +15,10 @@ import pytest
 
 from repro.errors import AddressError, ConfigError, ProgramOrderError, ReadFreePageError
 from repro.nand.device import NandDevice
-from repro.nand.geometry import Geometry
+from repro.ftl.blockinfo import plane_groups
 from repro.nand.spec import NandSpec, tiny_spec
+
+from tests.nand.addresses import ppn_at
 
 
 class TestSpecValidation:
@@ -38,36 +40,42 @@ class TestSpecValidation:
         assert "plane" in tiny_spec(planes_per_chip=2).describe().lower()
 
 
+def _logged_planes(spec: NandSpec, page: int = 0) -> "list[tuple[int, int]]":
+    """``(chip, plane)`` the op log bills for a program of ``page`` of
+    every block, in PBN order."""
+    device = NandDevice(spec)
+    geometry = device.geometry
+    log = device.begin_oplog()
+    for pbn in range(geometry.total_blocks):
+        device.program_ppn(geometry.first_ppn_of_pbn(pbn) + page)
+    return [(chip, plane) for chip, plane, _, _ in log]
+
+
 class TestPlaneGeometry:
-    @pytest.fixture
-    def geometry(self) -> Geometry:
-        return Geometry(tiny_spec(num_chips=2, planes_per_chip=2))
+    SPEC = tiny_spec(num_chips=2, planes_per_chip=2)
 
-    def test_interleaved_block_numbering(self, geometry):
-        # In-chip block b sits on plane b % planes, on every chip.
-        bpc = geometry.blocks_per_chip
-        for chip in range(2):
-            base = chip * bpc
-            assert geometry.plane_of_pbn(base + 0) == 0
-            assert geometry.plane_of_pbn(base + 1) == 1
-            assert geometry.plane_of_pbn(base + 2) == 0
-            assert geometry.plane_of_pbn(base + 3) == 1
+    def test_interleaved_block_numbering(self):
+        # In-chip block b sits on plane b % planes, on every chip, in
+        # the op log and in the FTLs' free-pool groups alike.
+        bpc = self.SPEC.blocks_per_chip
+        expected = [(pbn // bpc, pbn % bpc % 2) for pbn in range(2 * bpc)]
+        assert _logged_planes(self.SPEC) == expected
+        assert expected[:4] == [(0, 0), (0, 1), (0, 0), (0, 1)]
+        groups = plane_groups(self.SPEC.total_blocks, bpc, 2)
+        assert [divmod(group, 2) for group in groups] == expected
 
-    def test_plane_of_ppn_matches_its_block(self, geometry):
-        for pbn in range(2 * geometry.blocks_per_chip):
-            ppn = geometry.first_ppn_of_pbn(pbn)
-            assert geometry.plane_of_ppn(ppn) == geometry.plane_of_pbn(pbn)
+    def test_plane_of_ppn_matches_its_block(self):
+        last = self.SPEC.pages_per_block - 1
+        assert _logged_planes(self.SPEC, page=last) == _logged_planes(self.SPEC)
 
     def test_single_plane_devices_are_all_plane_zero(self):
-        geometry = Geometry(tiny_spec(num_chips=2))
-        assert all(
-            geometry.plane_of_pbn(pbn) == 0
-            for pbn in range(2 * geometry.blocks_per_chip)
-        )
+        spec = tiny_spec(num_chips=2)
+        assert {plane for _, plane in _logged_planes(spec)} == {0}
+        assert plane_groups(spec.total_blocks, spec.blocks_per_chip, 1) is None
 
 
 def _ppns(device: NandDevice, blocks, page: int) -> "list[int]":
-    return [device.geometry.make_ppn(0, block, page) for block in blocks]
+    return [ppn_at(device.geometry, 0, block, page) for block in blocks]
 
 
 class TestChipMultiProgram:
@@ -144,7 +152,7 @@ class TestDeviceMultiPlaneOps:
     def test_program_logs_one_segment_per_plane(self, device):
         device.begin_oplog()
         latency = device.program_multi_ppn(
-            [device.geometry.make_ppn(0, 0, 0), device.geometry.make_ppn(0, 1, 0)]
+            [ppn_at(device.geometry, 0, 0, 0), ppn_at(device.geometry, 0, 1, 0)]
         )
         ops = device.end_oplog()
         assert latency > 0
@@ -157,7 +165,7 @@ class TestDeviceMultiPlaneOps:
 
     def test_erase_logs_shared_array_no_transfer(self, device):
         device.program_multi_ppn(
-            [device.geometry.make_ppn(0, 0, 0), device.geometry.make_ppn(0, 1, 0)]
+            [ppn_at(device.geometry, 0, 0, 0), ppn_at(device.geometry, 0, 1, 0)]
         )
         device.begin_oplog()
         latency = device.erase_multi_pbn([0, 1])
@@ -165,12 +173,12 @@ class TestDeviceMultiPlaneOps:
         assert [op for op in ops] == [(0, 0, latency, 0.0), (0, 1, latency, 0.0)]
 
     def test_differing_page_indices_rejected(self, device):
-        device.program_ppn(device.geometry.make_ppn(0, 1, 0))
+        device.program_ppn(ppn_at(device.geometry, 0, 1, 0))
         with pytest.raises(AddressError, match="one page index"):
             device.program_multi_ppn(
                 [
-                    device.geometry.make_ppn(0, 0, 0),
-                    device.geometry.make_ppn(0, 1, 1),
+                    ppn_at(device.geometry, 0, 0, 0),
+                    ppn_at(device.geometry, 0, 1, 1),
                 ]
             )
 
