@@ -213,8 +213,7 @@ class DFTL(ConventionalFTL):
     def _writeback(self, tvpn: int, updates: dict[int, int]) -> float:
         """Persist one translation page's dirty batch in one program."""
         extra = self.stats.extra
-        key = "cmt.writeback_entries"
-        extra[key] = extra.get(key, 0.0) + len(updates)
+        extra["cmt.writeback_entries"] = extra.get("cmt.writeback_entries", 0.0) + len(updates)
         return self._program_translation_page(tvpn, updates)
 
     def flush_mapping(self) -> float:

@@ -15,7 +15,7 @@ O(1) regardless of geometry.  DFTL uses it only past
 :data:`~repro.ftl.mapping.FULL_MAP_MAX_ENTRIES`, where the dense table
 refuses to allocate; below that limit the dense lists are faster (each
 remap is three list stores, not three Python-level ``__setitem__``
-calls) and smaller once more than a few percent of the map is mapped.
+calls) and smaller once about a fifth of the logical pages are mapped.
 """
 
 from __future__ import annotations
