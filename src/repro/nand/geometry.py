@@ -1,4 +1,4 @@
-"""Flat and structured NAND address translation.
+"""Flat NAND address arithmetic.
 
 The FTL layers address pages with a flat *physical page number* (PPN) and
 blocks with a flat *physical block number* (PBN).  This module maps
