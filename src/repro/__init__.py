@@ -5,10 +5,14 @@ The package provides, from the bottom up:
 
 * :mod:`repro.nand` — a 3D charge-trap NAND device model whose pages
   have layer-dependent (asymmetric) access latency;
+* :mod:`repro.reliability` — process variation, retention, read
+  disturb, ECC read-retry, refresh and fault injection on the same
+  taper;
 * :mod:`repro.traces` — MSR-Cambridge-format trace parsing and seeded
   synthetic enterprise workloads (media server, web/SQL server);
 * :mod:`repro.ftl` — the speed-oblivious baselines: a conventional
-  page-mapping FTL and the FAST hybrid log-buffer FTL;
+  page-mapping FTL, the FAST hybrid log-buffer FTL and the
+  demand-paged DFTL;
 * :mod:`repro.core` — the paper's contribution: the Progressive
   Performance Boosting (PPB) strategy (four-level hotness, virtual
   blocks, hot/cold areas);
@@ -19,7 +23,16 @@ The package provides, from the bottom up:
   (JSON/TOML), sweep (dotted field paths) and cache every run, and the
   memoizing :class:`~repro.scenario.memo.ReplayRunner` that runs them;
 * :mod:`repro.bench` — the harness regenerating every table and figure
-  of the paper's evaluation, and nothing else.
+  of the paper's evaluation, and nothing else;
+* :mod:`repro.analysis` — the ASCII tables and charts its reports use;
+* :mod:`repro.lint` — the AST analyzer (``repro lint``) that checks the
+  determinism and simulator invariants.
+
+This package re-exports only the front door below.  Import every other
+name from its defining module (``repro.nand.spec``,
+``repro.ftl.conventional``, ...); of the subpackages, only
+:mod:`repro.scenario`, :mod:`repro.ftl.transmap` and :mod:`repro.lint`
+(``run_lint``) re-export any.
 
 Quickstart::
 
@@ -30,60 +43,23 @@ Quickstart::
     result = run_scenario(ScenarioSpec(ftl="ppb", num_requests=4000))
 """
 
-from repro.core.config import PPBConfig
-from repro.core.ppb_ftl import PPBFTL
-from repro.ftl.conventional import ConventionalFTL
-from repro.ftl.fast import FastFTL
-from repro.nand.device import NandDevice
-from repro.nand.spec import NandSpec, sim_spec, table1_spec, tiny_spec
+from repro.nand.spec import sim_spec
 from repro.scenario import (
-    PreconditionPhase,
     ScenarioSpec,
     SweepAxis,
-    TenantSpec,
-    load_scenario_file,
     run_scenario,
     run_scenarios,
     sweep,
-)
-from repro.sim.ssd import SSD, RunResult
-from repro.traces.record import IORequest, OpType, Trace
-from repro.traces.workloads import (
-    MediaServerWorkload,
-    PatternSuiteWorkload,
-    UniformWorkload,
-    WebSqlWorkload,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "NandSpec",
-    "NandDevice",
-    "sim_spec",
-    "table1_spec",
-    "tiny_spec",
-    "ConventionalFTL",
-    "FastFTL",
-    "PPBFTL",
-    "PPBConfig",
-    "SSD",
-    "RunResult",
     "ScenarioSpec",
-    "TenantSpec",
-    "PreconditionPhase",
     "SweepAxis",
-    "load_scenario_file",
     "run_scenario",
     "run_scenarios",
     "sweep",
-    "IORequest",
-    "OpType",
-    "Trace",
-    "MediaServerWorkload",
-    "WebSqlWorkload",
-    "UniformWorkload",
-    "PatternSuiteWorkload",
     "quick_comparison",
     "__version__",
 ]

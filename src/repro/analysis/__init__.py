@@ -1,6 +1,1 @@
 """Result rendering: ASCII tables and bar charts for terminal reports."""
-
-from repro.analysis.tables import ascii_table, format_number, format_pct
-from repro.analysis.charts import ascii_bars, ascii_series
-
-__all__ = ["ascii_table", "format_number", "format_pct", "ascii_bars", "ascii_series"]

@@ -21,38 +21,3 @@ hurting garbage collection:
 * :mod:`repro.core.ppb_ftl` — :class:`PPBFTL`, the full strategy on top
   of the shared FTL machinery.
 """
-
-from repro.core.config import PPBConfig
-from repro.core.placement import ReliabilityAwarePlacement
-from repro.core.hotness import Area, HotnessLevel
-from repro.core.identification import (
-    FirstStageIdentifier,
-    MultiHashIdentifier,
-    SizeCheckIdentifier,
-    TwoLevelLruIdentifier,
-    make_identifier,
-)
-from repro.core.lru import TwoLevelLRU
-from repro.core.freqtable import AccessFrequencyTable
-from repro.core.virtual_block import VBState, VirtualBlock, VirtualBlockManager
-from repro.core.vblists import AreaAllocator
-from repro.core.ppb_ftl import PPBFTL
-
-__all__ = [
-    "PPBConfig",
-    "Area",
-    "HotnessLevel",
-    "FirstStageIdentifier",
-    "SizeCheckIdentifier",
-    "TwoLevelLruIdentifier",
-    "MultiHashIdentifier",
-    "make_identifier",
-    "TwoLevelLRU",
-    "AccessFrequencyTable",
-    "VBState",
-    "VirtualBlock",
-    "VirtualBlockManager",
-    "AreaAllocator",
-    "ReliabilityAwarePlacement",
-    "PPBFTL",
-]

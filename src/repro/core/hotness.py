@@ -80,13 +80,3 @@ _LABEL_OF = {
     HotnessLevel.HOT: "hot",
     HotnessLevel.IRON_HOT: "iron-hot",
 }
-
-
-def fast_level_of(area: Area) -> HotnessLevel:
-    """The level an area serves from its fast pages."""
-    return HotnessLevel.IRON_HOT if area is Area.HOT else HotnessLevel.COLD
-
-
-def slow_level_of(area: Area) -> HotnessLevel:
-    """The level an area serves from its slow pages."""
-    return HotnessLevel.HOT if area is Area.HOT else HotnessLevel.ICY_COLD

@@ -57,16 +57,6 @@ class TwoLevelLRU:
     def __len__(self) -> int:
         return len(self._iron) + len(self._hot)
 
-    @property
-    def hot_size(self) -> int:
-        """Entries currently in the hot list."""
-        return len(self._hot)
-
-    @property
-    def iron_size(self) -> int:
-        """Entries currently in the iron-hot list."""
-        return len(self._iron)
-
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------

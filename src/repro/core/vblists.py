@@ -237,10 +237,6 @@ class AreaAllocator:
             return True
         return bool(self._pending[is_fast])
 
-    def open_block_count(self) -> int:
-        """Blocks this area holds outside FREE/FULL (diagnostics)."""
-        return len(self.active_pbns())
-
     def forget_block(self, pbn: int) -> None:
         """A block of this area was erased; drop any stale references.
 

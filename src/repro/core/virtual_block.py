@@ -48,11 +48,6 @@ class VirtualBlock:
     state: VBState = field(default=VBState.FREE)
 
     @property
-    def num_pages(self) -> int:
-        """Pages in this virtual block."""
-        return self.end_page - self.start_page
-
-    @property
     def is_fast(self) -> bool:
         """Whether this slice serves the area's frequently-read level.
 

@@ -280,11 +280,6 @@ class BlockManager:
     # Queries
     # ------------------------------------------------------------------
 
-    def state_of(self, pbn: int) -> BlockState:
-        """Current lifecycle state."""
-        self._check(pbn)
-        return BlockState(self.state[pbn])
-
     def set_klass(self, pbn: int, klass: int) -> None:
         """Tag an allocated block with its content class."""
         self._check(pbn)

@@ -68,10 +68,6 @@ class PageMapTable:
             raise MappingError(f"PPN {ppn} out of range [0, {self.num_ppns})")
         return self.p2l[ppn]
 
-    def is_mapped(self, lpn: int) -> bool:
-        """Whether the logical page currently has a valid physical copy."""
-        return self.ppn_of(lpn) != UNMAPPED
-
     def is_valid_ppn(self, ppn: int) -> bool:
         """Whether the physical page holds the newest copy of some LPN."""
         return self.lpn_of(ppn) != UNMAPPED

@@ -47,11 +47,6 @@ class FtlStats:
         return self.gc_read_us + self.gc_write_us + self.erase_us
 
     @property
-    def total_write_us(self) -> float:
-        """Host write time plus all GC time (GC is write-amplification)."""
-        return self.host_write_us + self.gc_us
-
-    @property
     def write_amplification(self) -> float:
         """(host writes + GC copies) / host writes; 1.0 when idle."""
         if not self.host_write_pages:

@@ -32,8 +32,6 @@ class GlobalTranslationDirectory:
         self.num_translation_pages = -(-num_lpns // entries_per_page)
         self._ppn_of: dict[int, int] = {}
         self._tvpn_of: dict[int, int] = {}
-        #: lifetime directory updates (== translation-page writes).
-        self.updates = 0
 
     # ------------------------------------------------------------------
 
@@ -57,8 +55,9 @@ class GlobalTranslationDirectory:
         """Which translation page's current copy occupies ``ppn``, or -1."""
         return self._tvpn_of.get(ppn, UNMAPPED)
 
-    def update(self, tvpn: int, ppn: int) -> int:
-        """Record a new copy of a translation page; returns the old PPN or -1."""
+    def update(self, tvpn: int, ppn: int) -> None:
+        """Record a new copy of a translation page, dropping the old one's
+        reverse entry."""
         self._check(tvpn)
         existing = self._tvpn_of.get(ppn)
         if existing is not None and existing != tvpn:
@@ -70,8 +69,6 @@ class GlobalTranslationDirectory:
             del self._tvpn_of[old]
         self._ppn_of[tvpn] = ppn
         self._tvpn_of[ppn] = tvpn
-        self.updates += 1
-        return old
 
     def _check(self, tvpn: int) -> None:
         if not 0 <= tvpn < self.num_translation_pages:

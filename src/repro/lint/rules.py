@@ -605,10 +605,10 @@ class Spec001FrozenSpec(Rule):
 
 class Reg001Registries(Rule):
     id = "REG001"
-    title = "every FTL is in FTL_CLASSES and the CLI --ftl choices match it"
+    title = "every FTL is registered in FTL_CLASSES"
     rationale = (
-        "A BaseFTL subclass missing from FTL_CLASSES, or a --ftl choice list "
-        "that disagrees with it, is an FTL that sweeps or the CLI cannot reach."
+        "A BaseFTL subclass missing from FTL_CLASSES is an FTL that no "
+        "scenario, sweep or CLI call can reach."
     )
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
@@ -616,19 +616,17 @@ class Reg001Registries(Rule):
         if classes_assign is None or source.in_tests():
             return
         # anchored on the module that defines FTL_CLASSES
-        kinds: dict[str, str] = {}  # kind -> class name
+        registered: set[str] = set()  # class names under a string kind
         if isinstance(classes_assign.value, ast.Dict):
             for key, value in zip(classes_assign.value.keys, classes_assign.value.values):
-                kind = _const_str(key) if key is not None else None
-                if kind is None:
+                if key is None or _const_str(key) is None:
                     continue
                 if isinstance(value, ast.Name):
-                    kinds[kind] = value.id
+                    registered.add(value.id)
                 elif isinstance(value, ast.Attribute):
-                    kinds[kind] = value.attr
+                    registered.add(value.attr)
 
         # every concrete FTL class in the project must be registered
-        registered = set(kinds.values())
         for name, info in sorted(project.classes.items()):
             if name == "BaseFTL" or "tests" in info.rel.split("/"):
                 continue
@@ -640,45 +638,6 @@ class Reg001Registries(Rule):
                     f"{name} subclasses BaseFTL but is not registered in "
                     "FTL_CLASSES",
                 )
-
-        # CLI choices for --ftl must match the registry exactly
-        for other in project.files:
-            if other.in_tests():
-                continue
-            for node in ast.walk(other.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "add_argument"
-                    and node.args
-                    and _const_str(node.args[0]) == "--ftl"
-                ):
-                    continue
-                for kw in node.keywords:
-                    if kw.arg != "choices" or not isinstance(
-                        kw.value, (ast.List, ast.Tuple)
-                    ):
-                        continue
-                    choices = {
-                        kind
-                        for kind in (_const_str(el) for el in kw.value.elts)
-                        if kind is not None
-                    }
-                    for kind in sorted(set(kinds) - choices):
-                        yield Finding(
-                            self.id,
-                            other.rel,
-                            node.lineno,
-                            f"--ftl choices are missing registered FTL "
-                            f"{kind!r}",
-                        )
-                    for kind in sorted(choices - set(kinds)):
-                        yield Finding(
-                            self.id,
-                            other.rel,
-                            node.lineno,
-                            f"--ftl choices list unregistered FTL {kind!r}",
-                        )
 
     @staticmethod
     def _module_assign(tree: ast.AST, name: str) -> ast.Assign | ast.AnnAssign | None:
@@ -697,24 +656,22 @@ class Reg001Registries(Rule):
 # OPLOG001 — device time flows only through the op-log entry points
 # ----------------------------------------------------------------------
 
-#: the audited command surface: the only methods that may accumulate
-#: device time or touch the service-report log.
-_OPLOG_ENTRY_POINTS = {
-    "NandDevice": frozenset(
-        {
-            "read_ppn",
-            "program_ppn",
-            "copy_page",
-            "erase_pbn",
-            "program_multi_ppn",
-            "erase_multi_pbn",
-            "note_retry",
-            "note_recovery",
-            "begin_oplog",
-            "end_oplog",
-        }
-    ),
-}
+#: the audited command surface: the only NandDevice methods that may
+#: accumulate device time or touch the service-report log.
+_OPLOG_ENTRY_POINTS = frozenset(
+    {
+        "read_ppn",
+        "program_ppn",
+        "copy_page",
+        "erase_pbn",
+        "program_multi_ppn",
+        "erase_multi_pbn",
+        "note_retry",
+        "note_recovery",
+        "begin_oplog",
+        "end_oplog",
+    }
+)
 
 _TIME_COUNTERS = frozenset({"read_us", "program_us", "erase_us"})
 
@@ -731,14 +688,12 @@ class Oplog001DeviceTime(Rule):
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         defines_device = False
         for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and node.name in _OPLOG_ENTRY_POINTS:
-                if node.name == "NandDevice":
-                    defines_device = True
-                allowed = _OPLOG_ENTRY_POINTS[node.name]
+            if isinstance(node, ast.ClassDef) and node.name == "NandDevice":
+                defines_device = True
                 for sub in node.body:
                     if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         continue
-                    if sub.name in allowed:
+                    if sub.name in _OPLOG_ENTRY_POINTS:
                         continue
                     yield from self._scan_method(source, node.name, sub)
         if not defines_device:
@@ -766,17 +721,6 @@ class Oplog001DeviceTime(Rule):
                     node.lineno,
                     f"{class_name}.{method.name} accumulates device time "
                     "outside the audited op-log entry points",
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "record_erase"
-            ):
-                yield self.finding(
-                    source,
-                    node.lineno,
-                    f"{class_name}.{method.name} records erase time outside "
-                    "the audited op-log entry points",
                 )
             elif isinstance(node, ast.Attribute) and node.attr == "oplog":
                 if method.name == "__init__" and isinstance(node.ctx, ast.Store):

@@ -13,21 +13,3 @@ This package models the storage substrate the paper evaluates on:
   per-block state indexed by flat PBN, enforcing the NAND rules
   (in-order programming, erase-before-write), plus the timed-mode op log.
 """
-
-from repro.nand.spec import NandSpec, table1_spec, sim_spec, tiny_spec
-from repro.nand.geometry import Geometry
-from repro.nand.physics import TaperedChannelModel
-from repro.nand.latency import LatencyModel, LATENCY_PROFILES
-from repro.nand.device import NandDevice
-
-__all__ = [
-    "NandSpec",
-    "table1_spec",
-    "sim_spec",
-    "tiny_spec",
-    "Geometry",
-    "TaperedChannelModel",
-    "LatencyModel",
-    "LATENCY_PROFILES",
-    "NandDevice",
-]

@@ -110,12 +110,6 @@ class TaperedChannelModel:
             dtype=np.float64,
         )
 
-    def radii_nm(self) -> np.ndarray:
-        """Per-layer channel radii in nanometres, index 0 = top (widest)."""
-        return np.array(
-            [self.radius_nm(layer) for layer in range(self.num_layers)], dtype=np.float64
-        )
-
     def describe(self) -> str:
         """One-line summary for logs."""
         return (

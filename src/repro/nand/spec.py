@@ -177,20 +177,6 @@ class NandSpec:
         return self.logical_pages + self.total_pages
 
     @property
-    def block_bytes(self) -> int:
-        """Bytes per physical block."""
-        return self.pages_per_block * self.page_size
-
-    @property
-    def chips_per_channel(self) -> int:
-        """Chips sharing one host-interface channel (bus).
-
-        The chip -> channel mapping itself lives in one place only:
-        :meth:`repro.nand.geometry.Geometry.channel_of_chip`.
-        """
-        return self.num_chips // self.num_channels
-
-    @property
     def blocks_per_plane(self) -> int:
         """Blocks each plane of a chip holds.
 

@@ -55,34 +55,3 @@ The sweeps over this package are scenario files:
 age x refresh) and ``examples/scenarios/placement_frontier.toml`` (the
 reliability-aware placement frontier), run with ``repro scenario run``.
 """
-
-from __future__ import annotations
-
-from repro.reliability.disturb import ReadDisturbModel
-from repro.reliability.ecc import EccModel
-from repro.reliability.faults import FAULT_TARGETS, FaultInjector, FaultSpec
-from repro.reliability.manager import (
-    ReliabilityConfig,
-    ReliabilityManager,
-    ReliabilityStats,
-)
-from repro.reliability.refresh import RefreshPolicy
-from repro.reliability.retention import RetentionModel
-from repro.reliability.state import StateAwareModel
-from repro.reliability.variation import VARIATION_PROFILES, VariationModel
-
-__all__ = [
-    "EccModel",
-    "FAULT_TARGETS",
-    "FaultInjector",
-    "FaultSpec",
-    "ReadDisturbModel",
-    "RefreshPolicy",
-    "ReliabilityConfig",
-    "ReliabilityManager",
-    "ReliabilityStats",
-    "RetentionModel",
-    "StateAwareModel",
-    "VARIATION_PROFILES",
-    "VariationModel",
-]

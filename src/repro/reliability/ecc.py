@@ -70,10 +70,6 @@ class EccModel:
             return self.max_retries, True
         return steps, False
 
-    def max_correctable_rber(self) -> float:
-        """Highest RBER the full retry budget can decode."""
-        return self.rber_limit * self.retry_gain**self.max_retries
-
     def describe(self) -> str:
         """One-line summary for logs."""
         return (

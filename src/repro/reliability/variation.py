@@ -104,18 +104,9 @@ class VariationModel:
 
     # ------------------------------------------------------------------
 
-    @property
-    def is_uniform(self) -> bool:
-        """Whether this is the all-ones null model."""
-        return self.profile == "uniform"
-
     def multiplier(self, pbn: int, page_index: int) -> float:
         """Combined spatial RBER multiplier for one physical page."""
         return float(self.block_multipliers[pbn] * self.page_multipliers[page_index])
-
-    def worst_page_multiplier(self, pbn: int) -> float:
-        """The block's highest per-page multiplier (refresh triage uses it)."""
-        return float(self.block_multipliers[pbn] * self.page_multipliers.max())
 
     def describe(self) -> str:
         """One-line summary for logs."""

@@ -24,61 +24,18 @@ Quick tour::
     specs = bundle.scenarios()          # the file's sweep cross-product
 """
 
-from repro.scenario.memo import ReplayRunner, run_scenario, run_scenarios
-from repro.scenario.run import build_trace, execute_scenario
-from repro.scenario.serialize import (
-    ScenarioFile,
-    load_scenario_file,
-    parse_scenario_file,
-    save_scenario_file,
-    spec_from_dict,
-    spec_from_json,
-    spec_from_toml,
-    spec_to_dict,
-    spec_to_json,
-    spec_to_toml,
-)
-from repro.scenario.spec import (
-    PreconditionPhase,
-    ScenarioSpec,
-    TenantSpec,
-)
-from repro.scenario.sweep import (
-    SweepAxis,
-    axis_values,
-    get_path,
-    list_paths,
-    parse_scalar,
-    parse_set_arg,
-    set_paths,
-    sweep,
-)
+from repro.scenario.memo import run_scenario, run_scenarios
+from repro.scenario.serialize import load_scenario_file, spec_from_toml, spec_to_toml
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.sweep import SweepAxis, sweep
 
 __all__ = [
-    "ReplayRunner",
     "ScenarioSpec",
-    "TenantSpec",
-    "PreconditionPhase",
-    "ScenarioFile",
     "SweepAxis",
-    "axis_values",
-    "build_trace",
-    "execute_scenario",
-    "get_path",
-    "list_paths",
     "load_scenario_file",
-    "parse_scalar",
-    "parse_scenario_file",
-    "parse_set_arg",
     "run_scenario",
     "run_scenarios",
-    "save_scenario_file",
-    "set_paths",
-    "spec_from_dict",
-    "spec_from_json",
     "spec_from_toml",
-    "spec_to_dict",
-    "spec_to_json",
     "spec_to_toml",
     "sweep",
 ]

@@ -320,11 +320,6 @@ class ScenarioFile:
     description: str = ""
     axes: tuple[SweepAxis, ...] = ()
 
-    @property
-    def is_sweep(self) -> bool:
-        """Whether the file expands to more than one scenario."""
-        return bool(self.axes)
-
     def scenarios(self) -> list[ScenarioSpec]:
         """The cross-product this file describes (one spec if no axes)."""
         from repro.scenario.sweep import sweep

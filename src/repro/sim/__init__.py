@@ -8,14 +8,3 @@ operations against an FTL and accounts service time, either as plain
 trace-ordered sums (what the paper's latency totals are) or through the
 DES kernel with arrival timestamps and queueing.
 """
-
-from repro.sim.engine import Engine
-from repro.sim.resources import Resource
-from repro.sim.ssd import SSD, RunResult
-
-__all__ = [
-    "Engine",
-    "Resource",
-    "SSD",
-    "RunResult",
-]

@@ -75,11 +75,6 @@ class Resource:
         else:
             raise SimulationError("release without a matching request")
 
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for the resource."""
-        return len(self._waiters)
-
     def utilization(self, now: float | None = None) -> float:
         """Fraction of capacity-time spent busy up to ``now``.
 

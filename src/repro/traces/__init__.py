@@ -11,45 +11,3 @@ package provides both:
   size mix, read/write ratio, sequentiality, and re-access skew — the
   properties PPB's gain actually depends on).
 """
-
-from repro.traces.record import IORequest, OpType, Trace
-from repro.traces.msr import read_msr_csv, write_msr_csv
-from repro.traces.synthetic import (
-    PatternPhase,
-    ScrambledZipfian,
-    UniformSampler,
-    ZipfianGenerator,
-    make_pattern,
-    parse_phases,
-)
-from repro.traces.workloads import (
-    WORKLOADS,
-    MediaServerWorkload,
-    PatternSuiteWorkload,
-    WebSqlWorkload,
-    SyntheticWorkload,
-    UniformWorkload,
-)
-from repro.traces.stats import TraceStats, characterize
-
-__all__ = [
-    "IORequest",
-    "OpType",
-    "Trace",
-    "read_msr_csv",
-    "write_msr_csv",
-    "ZipfianGenerator",
-    "ScrambledZipfian",
-    "UniformSampler",
-    "PatternPhase",
-    "make_pattern",
-    "parse_phases",
-    "SyntheticWorkload",
-    "MediaServerWorkload",
-    "WebSqlWorkload",
-    "UniformWorkload",
-    "PatternSuiteWorkload",
-    "WORKLOADS",
-    "TraceStats",
-    "characterize",
-]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 from array import array
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from repro.errors import TraceFormatError
 from repro.traces.record import OPS, OpType, Trace
@@ -134,8 +134,3 @@ def write_msr_csv(
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
-
-
-def trace_from_lines(lines: Iterable[str], name: str = "msr") -> Trace:
-    """Parse MSRC CSV from an iterable of lines (testing convenience)."""
-    return read_msr_stream(io.StringIO("\n".join(lines)), name=name)

@@ -81,16 +81,6 @@ class IORequest:
         return self.op is OpType.READ
 
     @property
-    def is_write(self) -> bool:
-        """True for writes."""
-        return self.op is OpType.WRITE
-
-    @property
-    def is_trim(self) -> bool:
-        """True for TRIM/discard requests."""
-        return self.op is OpType.TRIM
-
-    @property
     def end_offset(self) -> int:
         """One past the last byte touched."""
         return self.offset + self.size
@@ -207,11 +197,6 @@ class Trace:
         return self.ops.count(WRITE)
 
     @property
-    def trim_count(self) -> int:
-        """Number of TRIM requests."""
-        return self.ops.count(TRIM)
-
-    @property
     def read_fraction(self) -> float:
         """Fraction of requests that are reads (0.0 for an empty trace)."""
         if not self.ops:
@@ -235,11 +220,6 @@ class Trace:
     def bytes_written(self) -> int:
         """Total bytes written."""
         return self._sizes_of(WRITE)
-
-    @property
-    def bytes_trimmed(self) -> int:
-        """Total bytes discarded by TRIM requests."""
-        return self._sizes_of(TRIM)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -306,12 +286,6 @@ class Trace:
         """New trace containing only the read requests."""
         return self._select(
             np.frombuffer(self.ops, dtype=np.uint8) == READ, f"{self.name}[reads]"
-        )
-
-    def writes_only(self) -> "Trace":
-        """New trace containing only the write requests."""
-        return self._select(
-            np.frombuffer(self.ops, dtype=np.uint8) == WRITE, f"{self.name}[writes]"
         )
 
     def __repr__(self) -> str:

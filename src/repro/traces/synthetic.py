@@ -87,10 +87,6 @@ class ZipfianGenerator:
         rank = int(self.n * (self._eta * u - self._eta + 1.0) ** self._alpha)
         return min(rank, self.n - 1)
 
-    def sample(self, count: int) -> np.ndarray:
-        """Sample ``count`` ranks as an array."""
-        return np.fromiter((self.next() for _ in range(count)), dtype=np.int64, count=count)
-
 
 class ScrambledZipfian:
     """Zipfian sampler whose popular items are scattered over the space.
@@ -115,10 +111,6 @@ class ScrambledZipfian:
             item = self._items[rank] = fnv1a_64(rank) % self.n
         return item
 
-    def sample(self, count: int) -> np.ndarray:
-        """Sample ``count`` item indices as an array."""
-        return np.fromiter((self.next() for _ in range(count)), dtype=np.int64, count=count)
-
 
 class UniformSampler:
     """Uniform sampler over ``0 .. n-1`` with the same interface."""
@@ -133,10 +125,6 @@ class UniformSampler:
     def next(self) -> int:
         """Sample one item index."""
         return int(self.rng.integers(0, self.n))
-
-    def sample(self, count: int) -> np.ndarray:
-        """Sample ``count`` item indices as an array."""
-        return self.rng.integers(0, self.n, size=count, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the four-level hotness semantics (paper Section 3.2)."""
 
-from repro.core.hotness import Area, HotnessLevel, fast_level_of, slow_level_of
+from repro.core.hotness import Area, HotnessLevel
 
 
 class TestAreas:
@@ -27,18 +27,10 @@ class TestSpeedAssignment:
         assert not HotnessLevel.HOT.wants_fast_pages
         assert not HotnessLevel.ICY_COLD.wants_fast_pages
 
-    def test_fast_slow_level_helpers(self):
-        assert fast_level_of(Area.HOT) is HotnessLevel.IRON_HOT
-        assert slow_level_of(Area.HOT) is HotnessLevel.HOT
-        assert fast_level_of(Area.COLD) is HotnessLevel.COLD
-        assert slow_level_of(Area.COLD) is HotnessLevel.ICY_COLD
-
     def test_each_area_has_one_fast_one_slow_level(self):
         for area in Area:
-            fast = fast_level_of(area)
-            slow = slow_level_of(area)
-            assert fast.wants_fast_pages and not slow.wants_fast_pages
-            assert fast.area is area and slow.area is area
+            levels = [level for level in HotnessLevel if level.area is area]
+            assert sorted(level.wants_fast_pages for level in levels) == [False, True]
 
     def test_labels(self):
         assert HotnessLevel.IRON_HOT.label == "iron-hot"

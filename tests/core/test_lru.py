@@ -95,7 +95,8 @@ class TestDropAndSizes:
         lru.on_read(1)
         assert len(lru) == 2
         assert 1 in lru and 2 in lru and 3 not in lru
-        assert lru.hot_size == 1 and lru.iron_size == 1
+        assert lru.level_of(1) is HotnessLevel.IRON_HOT
+        assert lru.level_of(2) is HotnessLevel.HOT
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigError):
@@ -116,5 +117,6 @@ class TestBoundedInvariant:
                 lru.on_read(lpn)
             else:
                 lru.on_write(lpn)
-            assert lru.hot_size <= 5
-            assert lru.iron_size <= 3
+            levels = [lru.level_of(tracked) for tracked in range(31)]
+            assert levels.count(HotnessLevel.HOT) <= 5
+            assert levels.count(HotnessLevel.IRON_HOT) <= 3

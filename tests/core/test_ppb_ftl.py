@@ -7,6 +7,7 @@ from repro.core.config import PPBConfig
 from repro.core.hotness import Area, HotnessLevel
 from repro.core.ppb_ftl import PPBFTL
 from repro.core.virtual_block import VBState
+from repro.ftl.mapping import UNMAPPED
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 
@@ -156,7 +157,7 @@ class TestInvariantsUnderChurn:
     def test_trim_cleans_trackers(self, ftl):
         ftl.host_write(0, nbytes=1024)
         ftl.trim(0)
-        assert not ftl.map.is_mapped(0)
+        assert ftl.map.ppn_of(0) == UNMAPPED
         ftl.check_invariants()
 
 

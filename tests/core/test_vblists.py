@@ -72,7 +72,7 @@ class TestHardConstraints:
         rng = np.random.default_rng(1)
         for _ in range(400):
             _write_one(device, allocator, want_fast=bool(rng.random() < 0.3))
-            assert allocator.open_block_count() <= 2 + allocator.max_pending
+            assert len(allocator.active_pbns()) <= 2 + allocator.max_pending
 
 
 class TestPipelinedSegregation:
@@ -99,7 +99,7 @@ class TestPipelinedSegregation:
             _write_one(device, allocator, want_fast=False)
         # pending fast VBs stay bounded; excess slow demand diverts
         assert allocator.diverted_writes > 0
-        assert allocator.open_block_count() <= 2 + allocator.max_pending
+        assert len(allocator.active_pbns()) <= 2 + allocator.max_pending
 
 
 class TestStrictAlternation:

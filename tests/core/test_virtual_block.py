@@ -103,4 +103,3 @@ class TestLifecycle:
         )
         assert vb.contains_page(0) and vb.contains_page(7)
         assert not vb.contains_page(8)
-        assert vb.num_pages == 8

@@ -14,11 +14,11 @@ def blocks() -> BlockManager:
 class TestFreePool:
     def test_all_free_initially(self, blocks):
         assert blocks.free_count == 8
-        assert all(blocks.state_of(b) is BlockState.FREE for b in range(8))
+        assert all(blocks.state[b] == BlockState.FREE for b in range(8))
 
     def test_allocate_opens(self, blocks):
         pbn = blocks.allocate()
-        assert blocks.state_of(pbn) is BlockState.OPEN
+        assert blocks.state[pbn] == BlockState.OPEN
         assert blocks.free_count == 7
 
     def test_exhaustion_raises(self, blocks):
@@ -31,7 +31,7 @@ class TestFreePool:
         pbn = blocks.allocate()
         blocks.release(pbn)
         assert blocks.free_count == 8
-        assert blocks.state_of(pbn) is BlockState.FREE
+        assert blocks.state[pbn] == BlockState.FREE
 
     def test_release_with_valid_pages_rejected(self, blocks):
         pbn = blocks.allocate()

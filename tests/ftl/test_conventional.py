@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.errors import ConfigError, MappingError
 from repro.ftl.conventional import ConventionalFTL
+from repro.ftl.mapping import UNMAPPED
 from repro.nand.device import NandDevice
 from repro.nand.spec import sim_spec, tiny_spec
 from repro.scenario import ScenarioSpec
@@ -50,7 +51,7 @@ class TestBasicIO:
     def test_trim(self, ftl):
         ftl.host_write(0)
         ftl.trim(0)
-        assert not ftl.map.is_mapped(0)
+        assert ftl.map.ppn_of(0) == UNMAPPED
         assert ftl.stats.trimmed_pages == 1
         assert ftl.host_read(0) == 0.0
 

@@ -16,7 +16,6 @@ class TestBasicMapping:
     def test_starts_unmapped(self, table):
         assert table.ppn_of(0) == UNMAPPED
         assert table.lpn_of(0) == UNMAPPED
-        assert not table.is_mapped(0)
 
     def test_remap_establishes_both_directions(self, table):
         old = table.remap(3, 10)
@@ -41,7 +40,7 @@ class TestBasicMapping:
     def test_unmap(self, table):
         table.remap(1, 5)
         assert table.unmap(1) == 5
-        assert not table.is_mapped(1)
+        assert table.ppn_of(1) == UNMAPPED
         assert table.mapped_count == 0
 
     def test_unmap_unmapped_is_noop(self, table):

@@ -10,10 +10,6 @@ class TestLatencyPools:
         stats = FtlStats(gc_read_us=10.0, gc_write_us=20.0, erase_us=5.0)
         assert stats.gc_us == 35.0
 
-    def test_total_write_includes_gc(self):
-        stats = FtlStats(host_write_us=100.0, gc_read_us=10.0)
-        assert stats.total_write_us == 110.0
-
     def test_means(self):
         stats = FtlStats(
             host_read_pages=4, host_read_us=40.0,

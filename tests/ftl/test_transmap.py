@@ -153,12 +153,14 @@ class TestGlobalTranslationDirectory:
         gtd = GlobalTranslationDirectory(num_lpns=16, entries_per_page=4)
         assert gtd.num_translation_pages == 4
         assert gtd.ppn_of(2) == UNMAPPED
-        assert gtd.update(2, 50) == UNMAPPED
+        gtd.update(2, 50)
         assert gtd.ppn_of(2) == 50
         assert gtd.tvpn_at(50) == 2
-        assert gtd.update(2, 60) == 50  # relocation returns the old copy
+        gtd.update(2, 60)  # relocation frees the old copy's reverse entry
+        assert gtd.ppn_of(2) == 60
+        assert gtd.tvpn_at(60) == 2
         assert gtd.tvpn_at(50) == UNMAPPED
-        assert len(gtd) == 1 and gtd.updates == 2
+        assert len(gtd) == 1
         gtd.check_consistency()
 
     def test_ppn_collision_rejected(self):

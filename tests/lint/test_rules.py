@@ -201,22 +201,6 @@ class TestReg001:
         assert rule_ids(report) == ["REG001"]
         assert "BetaFTL subclasses BaseFTL but is not registered" in messages
 
-    def test_cli_choices_must_match_registry(self, tmp_path):
-        (tmp_path / "registry.py").write_text(
-            "class BaseFTL:\n"
-            "    pass\n"
-            "class AlphaFTL(BaseFTL):\n"
-            "    pass\n"
-            "FTL_CLASSES = {'alpha': AlphaFTL}\n"
-        )
-        (tmp_path / "cli.py").write_text(
-            "def build(parser):\n"
-            "    parser.add_argument('--ftl', choices=['alpha', 'stale'])\n"
-        )
-        report = run_lint([tmp_path])
-        assert "REG001" in rule_ids(report)
-        assert any("'stale'" in f.message for f in report.findings)
-
 
 OPLOG_FIXTURE = """\
 class NandDevice:

@@ -11,7 +11,7 @@ from repro.nand.physics import TaperedChannelModel
 class TestGeometryOfTaper:
     def test_top_is_widest(self):
         model = TaperedChannelModel(num_layers=8, speed_ratio=2.0)
-        radii = model.radii_nm()
+        radii = [model.radius_nm(layer) for layer in range(8)]
         assert radii[0] == max(radii)
         assert radii[-1] == min(radii)
 

@@ -47,10 +47,6 @@ class TestDerivedGeometry:
             spec = factory()
             assert spec.logical_pages < spec.total_pages
 
-    def test_block_bytes(self):
-        spec = tiny_spec()
-        assert spec.block_bytes == 16 * 2048
-
     def test_multichip_scales_blocks(self):
         spec = tiny_spec(num_chips=4)
         assert spec.total_blocks == 4 * 64
@@ -133,13 +129,9 @@ class TestValidation:
 
 
 class TestChannelTopology:
-    def test_chips_per_channel(self):
-        assert NandSpec(num_chips=4, num_channels=2).chips_per_channel == 2
-
     def test_single_channel_default(self):
         spec = NandSpec()
         assert spec.num_channels == 1
-        assert spec.chips_per_channel == 1
 
     def test_describe_mentions_topology_only_when_parallel(self):
         assert "Chips / channels" not in NandSpec().describe()

@@ -21,8 +21,8 @@ class TestRetryStaircase:
 
     def test_budget_exhaustion_is_uncorrectable(self):
         ecc = EccModel(rber_limit=1e-3, retry_gain=2.0, max_retries=3)
-        limit = ecc.max_correctable_rber()
-        assert limit == pytest.approx(8e-3)
+        limit = 8e-3  # rber_limit * retry_gain ** max_retries
+        assert ecc.retries_needed(limit * 0.99) == (3, False)
         steps, uncorrectable = ecc.retries_needed(limit * 1.01)
         assert steps == 3
         assert uncorrectable

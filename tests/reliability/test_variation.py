@@ -57,14 +57,6 @@ class TestBlockVariation:
             float(model.block_multipliers[5] * model.page_multipliers[3])
         )
 
-    def test_worst_page_multiplier_is_max(self):
-        model = VariationModel(tiny_spec(), seed=3)
-        spec = tiny_spec()
-        worst = max(
-            model.multiplier(4, page) for page in range(spec.pages_per_block)
-        )
-        assert model.worst_page_multiplier(4) == pytest.approx(worst)
-
 
 class TestUniformNullModel:
     def test_profiles_registry(self):
@@ -73,7 +65,6 @@ class TestUniformNullModel:
     def test_all_multipliers_one(self):
         spec = tiny_spec()
         model = VariationModel(spec, profile="uniform")
-        assert model.is_uniform
         assert np.all(model.block_multipliers == 1.0)
         assert np.all(model.page_multipliers == 1.0)
         for pbn in range(4):

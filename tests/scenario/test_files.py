@@ -21,7 +21,6 @@ class TestParsing:
     def test_minimal_toml(self):
         bundle = parse_scenario_file('workload = "uniform"\n', fmt="toml")
         assert bundle.base.workload == "uniform"
-        assert not bundle.is_sweep
         assert bundle.scenarios() == [bundle.base]
 
     def test_metadata_and_axes(self):
@@ -39,7 +38,6 @@ values = [1, 2, 3]
 """
         bundle = parse_scenario_file(text, fmt="toml")
         assert bundle.name == "demo"
-        assert bundle.is_sweep
         specs = bundle.scenarios()
         assert [s.seed for s in specs] == [1, 2, 3]
         assert all(s.ftl == "ppb" and s.device.speed_ratio == 4.0 for s in specs)

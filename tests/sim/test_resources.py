@@ -59,14 +59,16 @@ class TestResource:
         assert [(name, end) for name, _, end in log] == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
 
     def test_queue_length(self):
+        # a zero-length hold still queues behind the holder, then drains
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        _hold(engine, resource, 10.0)
-        _hold(engine, resource, 0.0)
+        log = []
+        _hold(engine, resource, 10.0, log, "a")
+        _hold(engine, resource, 0.0, log, "b")
         engine.run(until=5.0)
-        assert resource.queue_length == 1
+        assert log == []
         engine.run()
-        assert resource.queue_length == 0
+        assert log == [("a", 0.0, 10.0), ("b", 10.0, 10.0)]
 
     def test_release_without_request_rejected(self):
         engine = Engine()

@@ -18,6 +18,7 @@ from repro.core.config import PPBConfig
 from repro.core.ppb_ftl import PPBFTL
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.fast import FastFTL
+from repro.ftl.mapping import UNMAPPED
 from repro.nand.device import NandDevice
 from repro.nand.spec import tiny_spec
 
@@ -148,7 +149,7 @@ class TestCrossFtlEquivalence:
         oracles = [_drive(ftl, ops) for ftl in ftls]
         assert oracles[0] == oracles[1] == oracles[2]
         mapped = [
-            {lpn for lpn in range(ftl.num_lpns) if ftl.map.is_mapped(lpn)}
+            {lpn for lpn in range(ftl.num_lpns) if ftl.map.ppn_of(lpn) != UNMAPPED}
             for ftl in ftls
         ]
         assert mapped[0] == mapped[1] == mapped[2]

@@ -59,11 +59,9 @@ def test_columns_match_the_list_reference(requests, capacity, align, n):
     assert [trace[i] for i in range(-len(requests), len(requests))] == requests + requests
 
     assert trace.read_count == sum(r.is_read for r in requests)
-    assert trace.write_count == sum(r.is_write for r in requests)
-    assert trace.trim_count == sum(r.is_trim for r in requests)
+    assert trace.write_count == sum(r.op is OpType.WRITE for r in requests)
     assert trace.bytes_read == sum(r.size for r in requests if r.is_read)
-    assert trace.bytes_written == sum(r.size for r in requests if r.is_write)
-    assert trace.bytes_trimmed == sum(r.size for r in requests if r.is_trim)
+    assert trace.bytes_written == sum(r.size for r in requests if r.op is OpType.WRITE)
     assert trace.footprint_bytes() == max((r.end_offset for r in requests), default=0)
 
     fitted = trace.fit_to(capacity, align)
@@ -71,7 +69,6 @@ def test_columns_match_the_list_reference(requests, capacity, align, n):
     assert fitted.name == f"t[fit {capacity // 2**20}MiB]"
     assert list(trace.head(n)) == requests[:n]
     assert list(trace.reads_only()) == [r for r in requests if r.is_read]
-    assert list(trace.writes_only()) == [r for r in requests if r.is_write]
     assert list(trace) == requests  # transformations leave the source alone
 
 

