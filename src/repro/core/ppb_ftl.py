@@ -38,8 +38,7 @@ from repro.core.placement import ReliabilityAwarePlacement
 from repro.core.vblists import AreaAllocator
 from repro.core.virtual_block import VirtualBlockManager
 from repro.errors import VirtualBlockError
-from repro.ftl.base import BaseFTL, WriteContext
-from repro.ftl.gc import VictimPolicy
+from repro.ftl.base import BaseFTL
 from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
@@ -62,11 +61,10 @@ class PPBFTL(BaseFTL):
         self,
         device: NandDevice,
         config: PPBConfig | None = None,
-        victim_policy: VictimPolicy | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
-        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
+        super().__init__(device, reliability=reliability, refresh=refresh)
         self.config = config or PPBConfig()
         self.identifier = make_identifier(self.config.identifier, self.spec.page_size)
         self.vbmgr = VirtualBlockManager(self.spec, self.config.vb_split)
@@ -163,12 +161,12 @@ class PPBFTL(BaseFTL):
     # BaseFTL contract: placement
     # ------------------------------------------------------------------
 
-    def _alloc_ppn(self, lpn: int, ctx: WriteContext) -> int:
-        if ctx.is_gc:
+    def _alloc_ppn(self, lpn: int, nbytes: int, is_gc: bool) -> int:
+        if is_gc:
             level = self.current_level(lpn)
             key = self._gc_place_key[level]
         else:
-            level = self._classify_write(lpn, ctx.nbytes)
+            level = self._classify_write(lpn, nbytes)
             key = self._host_place_key[level]
         # Inlined stats.bump (once per host write and per GC copy).
         extra = self.stats.extra
@@ -266,7 +264,7 @@ class PPBFTL(BaseFTL):
             return
         self._owner_of(pbn).note_programmed(vb)
 
-    def _on_host_write(self, lpn: int, ppn: int, ctx: WriteContext) -> None:
+    def _on_host_write(self, lpn: int, ppn: int) -> None:
         self._after_program(ppn)
 
     def _on_gc_copy(self, lpn: int, old_ppn: int, new_ppn: int) -> None:
@@ -341,16 +339,8 @@ class PPBFTL(BaseFTL):
                 continue
             if self.geometry.page_of_ppn(ppn) >= half:
                 continue  # already on a fast page
-            dst = cold_alloc.alloc_page(True)
-            read_us, write_us = self.device.copy_page(ppn, dst)
-            self._commit_mapping(lpn, dst)
-            self._note_if_full(dst)
-            self._after_program(dst)
-            self.stats.gc_copied_pages += 1
-            self.stats.gc_read_us += read_us
-            self.stats.gc_write_us += write_us
+            latency += self._relocate(lpn, ppn, cold_alloc.alloc_page(True))
             self.stats.bump("ppb.migrations")
-            latency += read_us + write_us
             moved += 1
         return latency
 

@@ -9,14 +9,37 @@ an apples-to-apples one: identical GC driver, identical accounting.
 
 Subclass contract
 -----------------
-``_alloc_ppn(lpn, ctx)``
+``_alloc_ppn(lpn, nbytes, is_gc)``
     Return the PPN the next copy of ``lpn`` must be programmed to.
-    Called for host writes and GC relocations (``ctx.is_gc`` tells them
-    apart).  May allocate blocks from :attr:`blocks`.
+    Called for host writes (``nbytes`` is the host request size, which
+    first-stage hot/cold identifiers read) and GC relocations
+    (``is_gc``; ``nbytes`` is the page size).  May allocate blocks from
+    :attr:`blocks`.
 ``_active_blocks()``
     The set of currently OPEN blocks, excluded from victim selection.
-Optional hooks: ``_on_host_read``, ``_on_host_write``, ``_on_gc_copy``,
-``_on_trim``, ``_on_block_full``, ``_on_erase``.
+Optional hooks: ``_on_host_read(lpn, ppn)``, ``_on_host_write(lpn,
+ppn)``, ``_on_gc_copy``, ``_on_trim``, ``_on_block_full``, ``_on_erase``.
+
+Block-lifecycle primitives
+--------------------------
+Every design moves and reclaims blocks through the same three steps, so
+the accounting cannot drift between them:
+
+``_note_live_program(ppn, old_ppn)``
+    Valid count and retention stamp of a page just programmed with live
+    data, and the invalidation of the copy it supersedes.
+``_relocate(lpn, src, dst)``
+    Copy one live page (copyback: internal read + program, no bus),
+    commit its mapping, note a full block, bill the ``gc_*`` stats and
+    run ``_on_gc_copy``.  GC collections, PPB's migrations and FAST's
+    merges all relocate through it.
+``_erase(pbns)``
+    Erase one block, or several in one multi-plane command, bill the
+    ``erase_*`` stats, notify the victim policy, the reliability stack
+    and ``_on_erase``, and release the blocks to the free pool.
+
+``host_write`` inlines ``_note_live_program`` and ``_note_if_full``
+(the hottest loop of every replay); those helpers are the reference.
 
 The base also hosts the reliability stack (ECC read penalty, retention
 and wear notes, the refresh driver).  Refresh relocates through
@@ -27,8 +50,6 @@ FAST, which reclaims space by merges rather than GC, overrides
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
@@ -59,19 +80,6 @@ if TYPE_CHECKING:  # imported lazily to keep repro.ftl free of cycles
 _FULL_STATE = int(BlockState.FULL)
 
 
-@dataclass(frozen=True)
-class WriteContext:
-    """Why a page is being programmed.
-
-    ``nbytes`` carries the *host request size* so first-stage hot/cold
-    identifiers (the paper's size check) can see it; GC relocations use
-    the page size.
-    """
-
-    nbytes: int
-    is_gc: bool = False
-
-
 class BaseFTL:
     """Shared FTL machinery; see module docstring for the contract."""
 
@@ -85,7 +93,6 @@ class BaseFTL:
     def __init__(
         self,
         device: NandDevice,
-        victim_policy: VictimPolicy | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
@@ -117,20 +124,16 @@ class BaseFTL:
             ),
         )
         self.stats = FtlStats()
-        self.victim_policy = victim_policy or self._default_victim_policy()
+        self.victim_policy = self._default_victim_policy()
         self.gc_low_blocks = max(self.min_gc_low_blocks, self.spec.total_blocks // 64)
         self.gc_high_blocks = self.gc_low_blocks + 2
         #: logical op clock; used as the "now" for age-based GC policies
         #: and as the version component of page tags.
         self._op_sequence = 0
-        # Hot-path constants and caches: pages-per-block for inline PBN
-        # arithmetic, the page size for default write lengths, a reused
-        # GC write context, and a per-size cache of host write contexts
-        # (WriteContext is frozen, so sharing instances is safe).
+        # Hot-path constants: pages-per-block for inline PBN arithmetic
+        # and the page size for default write (and GC copy) lengths.
         self._ppb = self.spec.pages_per_block
         self._page_size = self.spec.page_size
-        self._gc_ctx = WriteContext(nbytes=self.spec.page_size, is_gc=True)
-        self._host_ctx_cache: dict[int, WriteContext] = {}
         # Skip the no-op policy-hook calls for subclasses that don't
         # override them (the conventional baseline overrides neither).
         cls = type(self)
@@ -218,13 +221,11 @@ class BaseFTL:
             gc_latency = 0.0
         else:
             gc_latency = self._ensure_space()
-        ctx = self._host_ctx_cache.get(nbytes)
-        if ctx is None:
-            ctx = self._host_ctx_cache[nbytes] = WriteContext(nbytes=nbytes, is_gc=False)
-        ppn = self._alloc_ppn(lpn, ctx)
+        ppn = self._alloc_ppn(lpn, nbytes, False)
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
-        # Inlined _commit_mapping + _note_if_full (this is the hottest
-        # loop of every replay; keep the two helpers in sync).
+        # Inlined _commit_mapping (_note_live_program) + _note_if_full:
+        # the one deliberate copy, in the hottest loop of every replay.
+        # The helpers are the reference; keep this in step with them.
         pbn = ppn // self._ppb
         old_ppn = ftl_map.remap(lpn, ppn)
         blocks = self.blocks
@@ -242,7 +243,7 @@ class BaseFTL:
             self.victim_policy.note_block_written(pbn, float(self._op_sequence))
             self._on_block_full(pbn)
         if self._has_write_hook:
-            self._on_host_write(lpn, ppn, ctx)
+            self._on_host_write(lpn, ppn)
         if reliability is not None:
             reliability.advance_us(latency + gc_latency)
             self._maybe_refresh()
@@ -275,14 +276,18 @@ class BaseFTL:
         return PageMapTable(self.num_lpns, self.spec.total_pages)
 
     def _commit_mapping(self, lpn: int, ppn: int) -> None:
-        """Record the new copy and invalidate the superseded one.
+        """Record the new copy and invalidate the superseded one."""
+        self._note_live_program(ppn, self.map.remap(lpn, ppn))
+
+    def _note_live_program(self, ppn: int, old_ppn: int) -> None:
+        """``ppn`` now holds live data (valid count, retention stamp);
+        ``old_ppn``, unless :data:`UNMAPPED`, held its superseded copy.
 
         ``ppn`` was just programmed (the device command bounds-checked
-        it) and ``old_ppn`` was validated when it entered the map, so
+        it) and ``old_ppn`` was validated when it was programmed, so
         the PBN arithmetic here is a plain division.
         """
         pbn = ppn // self._ppb
-        old_ppn = self.map.remap(lpn, ppn)
         blocks = self.blocks
         blocks.note_program_valid(pbn)
         reliability = self.reliability
@@ -358,54 +363,55 @@ class BaseFTL:
 
     def _collect(self, victim: int) -> float:
         """Reclaim one block: relocate live pages, erase, release."""
-        stats = self.stats
-        stats.gc_runs += 1
+        self.stats.gc_runs += 1
         latency = 0.0
-        device = self.device
         p2l = self.map.p2l
-        ctx = self._gc_ctx
-        ppn_range = self.geometry.ppn_range_of_pbn(victim)
-        live = self._relocation_order(self.map.valid_ppns_in(ppn_range))
-        for ppn in live:
+        page_size = self._page_size
+        live = self.map.valid_ppns_in(self.geometry.ppn_range_of_pbn(victim))
+        for ppn in self._relocation_order(live):
             lpn = p2l[ppn]
-            # Copyback-style relocation: internal read + program, no bus.
-            dst = self._alloc_ppn(lpn, ctx)
-            read_us, write_us = device.copy_page(ppn, dst)
-            self._commit_mapping(lpn, dst)
-            self._note_if_full(dst)
-            stats.gc_copied_pages += 1
-            stats.gc_read_us += read_us
-            stats.gc_write_us += write_us
-            latency += read_us + write_us
-            self._on_gc_copy(lpn, ppn, dst)
+            latency += self._relocate(lpn, ppn, self._alloc_ppn(lpn, page_size, True))
+        # Zero-valid FULL siblings ride the victim's erase for free: one
+        # multi-plane command reclaims every plane's block for a single
+        # array time (WAF-neutral — nothing is relocated).
         siblings = self._fused_erase_siblings(victim) if self._planes > 1 else None
-        if siblings:
-            # Zero-valid FULL siblings ride the victim's erase for free:
-            # one multi-plane command reclaims every plane's block for a
-            # single array time (WAF-neutral — nothing is relocated).
-            pbns = [victim, *siblings]
+        return latency + self._erase([victim, *siblings] if siblings else [victim])
+
+    def _relocate(self, lpn: int, src: int, dst: int) -> float:
+        """Copy ``lpn``'s live page from ``src`` to ``dst``; returns its
+        latency (GC-accounted: copyback read + program, no bus)."""
+        read_us, write_us = self.device.copy_page(src, dst)
+        self._commit_mapping(lpn, dst)
+        self._note_if_full(dst)
+        stats = self.stats
+        stats.gc_copied_pages += 1
+        stats.gc_read_us += read_us
+        stats.gc_write_us += write_us
+        self._on_gc_copy(lpn, src, dst)
+        return read_us + write_us
+
+    def _erase(self, pbns: list[int]) -> float:
+        """Erase ``pbns`` and release them to the free pool; returns the
+        erase latency.  Several blocks (one per plane of a chip) erase
+        in one multi-plane command for a single array time."""
+        stats = self.stats
+        if len(pbns) == 1:
+            erase_us = self.device.erase_pbn(pbns[0])
+        else:
             erase_us = self.device.erase_multi_pbn(pbns)
-            stats.erase_count += len(pbns)
-            stats.erase_us += erase_us
-            stats.bump("gc.fused_erases", float(len(siblings)))
-            latency += erase_us
-            for pbn in pbns:
-                self.blocks.note_erased(pbn)
-                self.victim_policy.note_block_erased(pbn)
-                self._reliability_note_erase(pbn)
-                self._on_erase(pbn)
-                self.blocks.release(pbn)
-            return latency
-        erase_us = self.device.erase_pbn(victim)
-        self.stats.erase_count += 1
-        self.stats.erase_us += erase_us
-        latency += erase_us
-        self.blocks.note_erased(victim)
-        self.victim_policy.note_block_erased(victim)
-        self._reliability_note_erase(victim)
-        self._on_erase(victim)
-        self.blocks.release(victim)
-        return latency
+            stats.bump("gc.fused_erases", float(len(pbns) - 1))
+        stats.erase_count += len(pbns)
+        stats.erase_us += erase_us
+        blocks = self.blocks
+        reliability = self.reliability
+        for pbn in pbns:
+            blocks.note_erased(pbn)
+            self.victim_policy.note_block_erased(pbn)
+            if reliability is not None:
+                reliability.note_erase(pbn)
+            self._on_erase(pbn)
+            blocks.release(pbn)
+        return erase_us
 
     def _fused_erase_siblings(self, victim: int) -> list[int]:
         """Sibling-plane blocks eligible to ride ``victim``'s erase.
@@ -470,16 +476,6 @@ class BaseFTL:
             else:
                 device.note_retry(ppn, retry_us)
         return retry_us
-
-    def _reliability_note_program(self, pbn: int) -> None:
-        """A live page was programmed into ``pbn`` (retention stamp)."""
-        if self.reliability is not None:
-            self.reliability.note_program(pbn)
-
-    def _reliability_note_erase(self, pbn: int) -> None:
-        """Block ``pbn`` was erased (P/E count, clocks reset)."""
-        if self.reliability is not None:
-            self.reliability.note_erase(pbn)
 
     def _maybe_refresh(self) -> float:
         """Run the refresh policy if a scan is due; returns its latency.
@@ -550,7 +546,7 @@ class BaseFTL:
     # Subclass contract
     # ------------------------------------------------------------------
 
-    def _alloc_ppn(self, lpn: int, ctx: WriteContext) -> int:
+    def _alloc_ppn(self, lpn: int, nbytes: int, is_gc: bool) -> int:
         """Pick the PPN for the next copy of ``lpn`` (placement policy)."""
         raise NotImplementedError
 
@@ -572,7 +568,7 @@ class BaseFTL:
     def _on_host_read(self, lpn: int, ppn: int) -> None:
         """Called after each host read (hotness trackers hook here)."""
 
-    def _on_host_write(self, lpn: int, ppn: int, ctx: WriteContext) -> None:
+    def _on_host_write(self, lpn: int, ppn: int) -> None:
         """Called after each host write commit."""
 
     def _on_gc_copy(self, lpn: int, old_ppn: int, new_ppn: int) -> None:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.ftl.base import BaseFTL, WriteContext
-from repro.ftl.gc import VictimPolicy
+from repro.ftl.base import BaseFTL
 from repro.nand.device import NandDevice
 from repro.nand.spec import NandSpec
 
@@ -38,11 +37,10 @@ class ConventionalFTL(BaseFTL):
     def __init__(
         self,
         device: NandDevice,
-        victim_policy: VictimPolicy | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
-        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
+        super().__init__(device, reliability=reliability, refresh=refresh)
         self._host_active: int | None = None
         self._gc_active: int | None = None
         # Multi-plane devices keep one append point per (chip, plane)
@@ -72,13 +70,13 @@ class ConventionalFTL(BaseFTL):
     # Placement: next free page of the stream's active block
     # ------------------------------------------------------------------
 
-    def _alloc_ppn(self, lpn: int, ctx: WriteContext) -> int:
+    def _alloc_ppn(self, lpn: int, nbytes: int, is_gc: bool) -> int:
         if self._host_slots is not None:
             # Only host writes stripe.  GC relocations keep one bounded
             # append point: striping them could open one block per
             # (chip, plane) group right at the low watermark and
             # exhaust the pool mid-collect.
-            if not ctx.is_gc:
+            if not is_gc:
                 return self._alloc_striped()
             pbn = self._ensure_active("_gc_active")
         else:

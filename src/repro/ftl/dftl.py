@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING
 
 from repro.ftl.blockinfo import TRANS_KLASS
 from repro.ftl.conventional import ConventionalFTL
-from repro.ftl.gc import VictimPolicy
 from repro.ftl.mapping import FULL_MAP_MAX_ENTRIES, UNMAPPED, PageMapTable
 from repro.ftl.transmap import (
     CachedMappingTable,
@@ -91,13 +90,12 @@ class DFTL(ConventionalFTL):
     def __init__(
         self,
         device: NandDevice,
-        victim_policy: VictimPolicy | None = None,
         mapping: MappingConfig | None = None,
         reliability: "ReliabilityManager | None" = None,
         refresh: "RefreshPolicy | None" = None,
     ) -> None:
         self.mapping = mapping if mapping is not None else MappingConfig()
-        super().__init__(device, victim_policy, reliability=reliability, refresh=refresh)
+        super().__init__(device, reliability=reliability, refresh=refresh)
         cfg = self.mapping
         #: mapping entries per translation page (the TVPN granularity).
         self._epp = cfg.resolve_entries_per_page(self.spec.page_size)
@@ -259,12 +257,7 @@ class DFTL(ConventionalFTL):
         write_us = self.device.program_ppn(
             dst, translation_lpn(tvpn), self._op_sequence
         )
-        pbn = dst // self._ppb
-        self.blocks.note_program_valid(pbn)
-        self._reliability_note_program(pbn)
-        cur_ppn = gtd.ppn_of(tvpn)
-        if cur_ppn != UNMAPPED:
-            self.blocks.note_invalidate(cur_ppn // self._ppb)
+        self._note_live_program(dst, gtd.ppn_of(tvpn))
         gtd.update(tvpn, dst)
         self._note_if_full(dst)
         extra = self.stats.extra
@@ -347,14 +340,16 @@ class DFTL(ConventionalFTL):
         return latency
 
     def _collect_translation(self, victim: int) -> float:
-        """Consolidate a translation block: relocate live pages, erase."""
+        """Consolidate a translation block: relocate live pages, erase.
+
+        The pages belong to the directory, not the host map, so the walk
+        is its own; the bookkeeping is BaseFTL's."""
         stats = self.stats
         stats.gc_runs += 1
         extra = stats.extra
         latency = 0.0
         device = self.device
         gtd = self.gtd
-        blocks = self.blocks
         self._in_collect = True
         try:
             for ppn in self.geometry.ppn_range_of_pbn(victim):
@@ -364,10 +359,7 @@ class DFTL(ConventionalFTL):
                 dst, _ = self._alloc_trans_ppn()
                 read_us, write_us = device.copy_page(ppn, dst)
                 gtd.update(tvpn, dst)
-                pbn = dst // self._ppb
-                blocks.note_program_valid(pbn)
-                self._reliability_note_program(pbn)
-                blocks.note_invalidate(victim)
+                self._note_live_program(dst, ppn)
                 self._note_if_full(dst)
                 stats.gc_copied_pages += 1
                 stats.gc_read_us += read_us
@@ -376,16 +368,7 @@ class DFTL(ConventionalFTL):
                 latency += read_us + write_us
         finally:
             self._in_collect = False
-        erase_us = device.erase_pbn(victim)
-        stats.erase_count += 1
-        stats.erase_us += erase_us
-        latency += erase_us
-        blocks.note_erased(victim)
-        self.victim_policy.note_block_erased(victim)
-        self._reliability_note_erase(victim)
-        self._on_erase(victim)
-        blocks.release(victim)
-        return latency
+        return latency + self._erase([victim])
 
     # ------------------------------------------------------------------
     # Verification helpers

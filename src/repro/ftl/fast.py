@@ -244,7 +244,7 @@ class FastFTL(BaseFTL):
         )
         for lbn in lbns:
             latency += self._full_merge(lbn)
-        latency += self._erase_block(victim)
+        latency += self._erase([victim])
         self.stats.bump("fast.log_merges")
         return latency
 
@@ -283,23 +283,13 @@ class FastFTL(BaseFTL):
                     f"fast: abandoned sequential log {abandoned_seq} still has "
                     f"{self.blocks.valid_of(abandoned_seq)} valid pages"
                 )
-            latency += self._erase_block(abandoned_seq)
+            latency += self._erase([abandoned_seq])
         self.stats.bump("fast.full_merges")
         return latency
 
     # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
-
-    def _relocate(self, lpn: int, src_ppn: int, dst_ppn: int) -> float:
-        """Copy one live page (GC-style copyback accounting)."""
-        read_us, write_us = self.device.copy_page(src_ppn, dst_ppn)
-        self._commit_mapping(lpn, dst_ppn)
-        stats = self.stats
-        stats.gc_copied_pages += 1
-        stats.gc_read_us += read_us
-        stats.gc_write_us += write_us
-        return read_us + write_us
 
     def _retire_data_block(self, lbn: int) -> None:
         """Erase + release the LBN's old data block (now fully invalid)."""
@@ -311,16 +301,7 @@ class FastFTL(BaseFTL):
                 f"fast: retiring data block {old} of lbn {lbn} with "
                 f"{self.blocks.valid_of(old)} valid pages"
             )
-        self._erase_block(old)
-
-    def _erase_block(self, pbn: int) -> float:
-        latency = self.device.erase_pbn(pbn)
-        self.stats.erase_count += 1
-        self.stats.erase_us += latency
-        self.blocks.note_erased(pbn)
-        self._reliability_note_erase(pbn)
-        self.blocks.release(pbn)
-        return latency
+        self._erase([old])
 
     def _allocate_block(self) -> int:
         if self.blocks.free_count == 0:

@@ -37,7 +37,8 @@ class TestWearLeveler:
     def test_intervenes_under_skewed_wear(self):
         device = NandDevice(tiny_spec())
         leveler = WearLeveler(GreedyVictimPolicy(), device, threshold=4)
-        ftl = ConventionalFTL(device, victim_policy=leveler)
+        ftl = ConventionalFTL(device)
+        ftl.victim_policy = leveler
         # Fill the device once so cold data pins some blocks.
         for lpn in range(ftl.num_lpns):
             ftl.host_write(lpn)
@@ -54,7 +55,8 @@ class TestWearLeveler:
 
         leveled_device = NandDevice(tiny_spec())
         leveler = WearLeveler(GreedyVictimPolicy(), leveled_device, threshold=4)
-        leveled = ConventionalFTL(leveled_device, victim_policy=leveler)
+        leveled = ConventionalFTL(leveled_device)
+        leveled.victim_policy = leveler
         for lpn in range(leveled.num_lpns):
             leveled.host_write(lpn)
         _churn(leveled, 15_000)
