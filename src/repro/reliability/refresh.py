@@ -144,31 +144,6 @@ class RefreshPolicy:
             self.disturb_reads and self.manager.reads_of(pbn) >= self.disturb_reads
         )
 
-    def pressure(self, blocks: BlockManager) -> float:
-        """Fraction of FULL blocks currently past the refresh threshold.
-
-        Diagnostic for reports: 0.0 means the device is healthy, values
-        near 1.0 mean the refresh engine is falling behind.
-        """
-        candidates = blocks.victim_candidates(None)
-        if not candidates.size:
-            return 0.0
-        manager = self.manager
-        # Same safe-deadline fast path as due_blocks: a provably-safe
-        # block predicts zero steps, which can never exceed a
-        # non-negative budget.
-        fast_skip = self.retry_budget >= 0
-        due = 0
-        for pbn in candidates.tolist():
-            if fast_skip and manager.worst_page_is_safe(pbn):
-                continue
-            if (
-                self._in_scan(pbn)
-                and manager.predicted_block_retries(pbn)[0] > self.retry_budget
-            ):
-                due += 1
-        return due / float(candidates.size)
-
     def describe(self) -> str:
         """One-line summary for logs."""
         disturb = (
