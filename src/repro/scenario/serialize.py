@@ -238,16 +238,6 @@ def _decode(text: str, fmt: str, source: str) -> typing.Any:
     raise ConfigError(f"unknown scenario file format {fmt!r} (toml or json)")
 
 
-def spec_to_json(spec: ScenarioSpec, indent: int = 2) -> str:
-    """JSON text of :func:`spec_to_dict`."""
-    return json.dumps(spec_to_dict(spec), indent=indent, sort_keys=False) + "\n"
-
-
-def spec_from_json(text: str) -> ScenarioSpec:
-    """Parse :func:`spec_to_json` output (or any JSON scenario)."""
-    return spec_from_dict(_decode(text, "json", "<scenario>"))
-
-
 def _toml_scalar(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -401,11 +391,3 @@ def load_scenario_file(path: str) -> ScenarioFile:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     return parse_scenario_file(text, fmt=fmt, source=str(path))
-
-
-def save_scenario_file(spec: ScenarioSpec, path: str) -> None:
-    """Write a spec to a ``.toml`` / ``.json`` file (lossless)."""
-    fmt = _format_of(path)
-    text = spec_to_toml(spec) if fmt == "toml" else spec_to_json(spec)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)

@@ -1,6 +1,7 @@
 """Scenario files: parsing, metadata, sweep axes — and example rot guard."""
 
 import glob
+import json
 import os
 
 import pytest
@@ -9,7 +10,8 @@ from repro.errors import ConfigError
 from repro.scenario.serialize import (
     load_scenario_file,
     parse_scenario_file,
-    save_scenario_file,
+    spec_to_dict,
+    spec_to_toml,
 )
 from repro.scenario.spec import ScenarioSpec
 
@@ -74,10 +76,14 @@ values = [1, 2, 3]
 class TestFileIo:
     def test_save_and_load_roundtrip(self, tmp_path):
         spec = ScenarioSpec(seed=7, ftl="fast")
-        for name in ("spec.toml", "spec.json"):
-            path = str(tmp_path / name)
-            save_scenario_file(spec, path)
-            assert load_scenario_file(path).base == spec
+        texts = {
+            "spec.toml": spec_to_toml(spec),
+            "spec.json": json.dumps(spec_to_dict(spec)),
+        }
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            assert load_scenario_file(str(path)).base == spec
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="suffix"):

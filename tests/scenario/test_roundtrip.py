@@ -6,6 +6,8 @@ key — a lossy round trip would silently fork the cache), and malformed
 input dies with a :class:`ConfigError` naming the bad dotted path.
 """
 
+import json
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -16,16 +18,21 @@ from repro.nand.spec import NandSpec
 from repro.reliability.faults import FAULT_TARGETS, FaultSpec
 from repro.reliability.manager import ReliabilityConfig
 from repro.scenario.serialize import (
+    parse_scenario_file,
     spec_from_dict,
-    spec_from_json,
     spec_from_toml,
     spec_to_dict,
-    spec_to_json,
     spec_to_toml,
 )
 from repro.scenario.spec import PreconditionPhase, ScenarioSpec, TenantSpec
 from repro.sim.arrival import ArrivalSpec
 from repro.traces.workloads import MIN_FOOTPRINT_BYTES
+
+
+def json_roundtrip(spec):
+    """The spec back from JSON text of its dict form, as a file loads it."""
+    return parse_scenario_file(json.dumps(spec_to_dict(spec)), fmt="json").base
+
 
 # -- strategies --------------------------------------------------------
 
@@ -235,7 +242,7 @@ def test_dict_roundtrip_is_identity(spec):
 @settings(max_examples=40, deadline=None)
 @given(spec=scenarios())
 def test_json_roundtrip_is_identity(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert json_roundtrip(spec) == spec
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,7 +267,7 @@ def test_fault_and_qos_knobs_survive_roundtrip():
         faults=FaultSpec(rate=0.01, burst=4, seed=7, target="mixed"),
     )
     assert spec_from_toml(spec_to_toml(spec)) == spec
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert json_roundtrip(spec) == spec
 
 
 def test_channel_topology_and_queueing_knobs_survive_roundtrip():
@@ -270,7 +277,7 @@ def test_channel_topology_and_queueing_knobs_survive_roundtrip():
         arrival=ArrivalSpec(queue_depth=64, scale=16.0),
     )
     assert spec_from_toml(spec_to_toml(spec)) == spec
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert json_roundtrip(spec) == spec
 
 
 def test_closed_loop_and_planes_survive_roundtrip():
@@ -280,7 +287,7 @@ def test_closed_loop_and_planes_survive_roundtrip():
         arrival=ArrivalSpec(mode="closed", queue_depth=32),
     )
     assert spec_from_toml(spec_to_toml(spec)) == spec
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert json_roundtrip(spec) == spec
 
 
 def test_queueing_knobs_serialize_in_the_arrival_section():
@@ -339,7 +346,7 @@ class TestBadInput:
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="JSON"):
-            spec_from_json("{not json")
+            parse_scenario_file("{not json", fmt="json")
 
     def test_invalid_toml_text(self):
         with pytest.raises(ConfigError, match="TOML"):
@@ -384,7 +391,7 @@ class TestWidenedKwargs:
             },
         )
         assert spec_from_dict(spec_to_dict(spec)) == spec
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert json_roundtrip(spec) == spec
         assert spec_from_toml(spec_to_toml(spec)) == spec
         # types survive exactly: 4 stays int, 0.95 stays float
         back = spec_from_toml(spec_to_toml(spec))
