@@ -111,16 +111,16 @@ class FastFTL(BaseFTL):
         seq_log = self._seq_log
         if offset == 0:
             merge_latency += self._open_seq_log(lbn)
-            latency = self._append_seq(lpn)
+            extra, latency = self._append_seq(lpn)
         elif (
             seq_log is not None
             and seq_log[1] == lbn
             and self._write_ptr[seq_log[0]] == offset
         ):
-            latency = self._append_seq(lpn)
+            extra, latency = self._append_seq(lpn)
         else:
             extra, latency = self._append_random(lpn)
-            merge_latency += extra
+        merge_latency += extra
         stats = self.stats
         stats.host_write_pages += 1
         stats.host_write_us += latency
@@ -151,8 +151,9 @@ class FastFTL(BaseFTL):
         self._seq_log = (pbn, lbn)
         return latency
 
-    def _append_seq(self, lpn: int) -> float:
-        """Program the next in-order page into the sequential log."""
+    def _append_seq(self, lpn: int) -> tuple[float, float]:
+        """Program the next in-order page into the sequential log;
+        returns (merge latency, program latency)."""
         if self._seq_log is None:
             raise FtlError("sequential append without an open sequential log")
         pbn, lbn = self._seq_log
@@ -160,19 +161,21 @@ class FastFTL(BaseFTL):
         latency = self.device.program_ppn(ppn, lpn, self._op_sequence)
         self._commit_mapping(lpn, ppn)
         if self._write_ptr[pbn] == self._ppb:
-            self._switch_merge()
-        return latency
+            return self._switch_merge(), latency
+        return 0.0, latency
 
-    def _switch_merge(self) -> None:
-        """The sequential log covered a whole LBN: promote it for free."""
+    def _switch_merge(self) -> float:
+        """The sequential log covered a whole LBN: promote it without a
+        copy; only the old data block's erase is paid."""
         if self._seq_log is None:
             raise FtlError("switch merge without an open sequential log")
         pbn, lbn = self._seq_log
         self._seq_log = None
         self.blocks.note_full(pbn)
-        self._retire_data_block(lbn)
+        latency = self._retire_data_block(lbn)
         self._data_block[lbn] = pbn
         self.stats.bump("fast.switch_merges")
+        return latency
 
     def _partial_merge(self) -> float:
         """Fill the open sequential log's tail and promote it.
@@ -202,7 +205,7 @@ class FastFTL(BaseFTL):
                 continue
             latency += self._relocate(lpn, src, block_base + offset)
         self.blocks.note_full(pbn)
-        self._retire_data_block(lbn)
+        latency += self._retire_data_block(lbn)
         self._data_block[lbn] = pbn
         self.stats.bump("fast.partial_merges")
         return latency
@@ -275,7 +278,7 @@ class FastFTL(BaseFTL):
                 continue
             latency += self._relocate(lpn, src, block_base + offset)
         self.blocks.note_full(new_pbn)
-        self._retire_data_block(lbn)
+        latency += self._retire_data_block(lbn)
         self._data_block[lbn] = new_pbn
         if abandoned_seq is not None:
             if self.blocks.valid_of(abandoned_seq) != 0:
@@ -291,17 +294,18 @@ class FastFTL(BaseFTL):
     # Shared plumbing
     # ------------------------------------------------------------------
 
-    def _retire_data_block(self, lbn: int) -> None:
-        """Erase + release the LBN's old data block (now fully invalid)."""
+    def _retire_data_block(self, lbn: int) -> float:
+        """Erase + release the LBN's old data block (now fully invalid);
+        returns the erase latency (0 when the LBN had none)."""
         old = self._data_block.pop(lbn, None)
         if old is None:
-            return
+            return 0.0
         if self.blocks.valid_of(old) != 0:
             raise FtlError(
                 f"fast: retiring data block {old} of lbn {lbn} with "
                 f"{self.blocks.valid_of(old)} valid pages"
             )
-        self._erase([old])
+        return self._erase([old])
 
     def _allocate_block(self) -> int:
         if self.blocks.free_count == 0:

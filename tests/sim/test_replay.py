@@ -77,6 +77,59 @@ class TestRegistryContract:
                 assert ppn == UNMAPPED
 
 
+class TestLatencyIsItsSegments:
+    """Under GC churn, every FTL returns for each request exactly the
+    device time its op-log segments bill (``array_us + transfer_us``):
+    GC copies, fused erases, FAST merges and DFTL translation traffic
+    included.  Sequential mode sums returned latencies and the timed
+    overlay replays segments, so this is what keeps the two in step.
+    A fused multi-plane erase logs each sibling plane's busy time, so
+    its extra planes are counted once (the device's op-log contract).
+    Refresh is left out: its work is logged but not returned."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [{}, {"num_chips": 2, "planes_per_chip": 2}],
+        ids=["1x1x1", "2chip-2plane"],
+    )
+    @pytest.mark.parametrize("kind", sorted(FTL_CLASSES))
+    def test_returned_latency_is_the_logged_device_time(self, kind, topology):
+        device = NandDevice(tiny_spec(**topology))
+        ftl = make_ftl(kind, device, mapping=MappingConfig(cache_ratio=0.05))
+        pages = ftl.spec.pages_per_block
+        erase_us = device.latency.erase_us()
+        extra = ftl.stats.extra
+        rng = np.random.default_rng(3)
+        mismatches = []
+
+        def serve(op, lpn):
+            fused_before = extra.get("gc.fused_erases", 0.0)
+            device.begin_oplog()
+            latency = op(lpn)
+            segments = device.end_oplog()
+            logged = sum(array_us + transfer_us for _, _, array_us, transfer_us in segments)
+            logged -= (extra.get("gc.fused_erases", 0.0) - fused_before) * erase_us
+            if latency != pytest.approx(logged, rel=1e-9, abs=1e-6):
+                mismatches.append((op.__name__, lpn, latency, logged))
+
+        for _ in range(3000):
+            r = rng.random()
+            lpn = int(rng.integers(0, ftl.num_lpns))
+            if r < 0.05:
+                # A whole logical block in order (FAST's switch merge).
+                start = lpn - lpn % pages
+                for seq_lpn in range(start, min(start + pages, ftl.num_lpns)):
+                    serve(ftl.host_write, seq_lpn)
+            elif r < 0.6:
+                serve(ftl.host_write, lpn)
+            elif r < 0.7:
+                serve(ftl.trim, lpn)
+            else:
+                serve(ftl.host_read, lpn)
+        assert ftl.stats.erase_count > 0
+        assert not mismatches, f"{len(mismatches)} requests, first {mismatches[0]}"
+
+
 def _replay(trace, ftl, warm_fill_fraction=0.9):
     """Replay a prebuilt trace on a fresh ``tiny_spec`` device."""
     spec = ScenarioSpec(
