@@ -197,14 +197,11 @@ class PPBFTL(BaseFTL):
         return False
 
     def _owner_of(self, pbn: int) -> AreaAllocator:
-        """The allocator whose pair the block belongs to."""
-        for allocator in self._allocator_tuple:
-            if pbn in allocator.owned:
-                return allocator
+        """The allocator of the area the block was carved for."""
         area = self.vbmgr.area_of(pbn)
-        if area is not None:
-            return self.allocators[area]
-        raise VirtualBlockError(f"block {pbn} is not owned by any allocator")
+        if area is None:
+            raise VirtualBlockError(f"block {pbn} is not owned by any allocator")
+        return self.allocators[area]
 
     @classmethod
     def open_blocks(cls, spec: NandSpec) -> dict[str, int]:

@@ -75,8 +75,6 @@ class AreaAllocator:
             False: deque(),
             True: deque(),
         }
-        #: physical blocks whose pairs this allocator opened and still owns.
-        self.owned: set[int] = set()
         # Counters for reports.
         self.diverted_writes = 0
         self.pairs_opened = 0
@@ -170,7 +168,6 @@ class AreaAllocator:
         vbs = self.vbmgr.carve(pbn, self.area)
         first = vbs[0]
         self._active[first.is_fast] = first
-        self.owned.add(pbn)
         self.pairs_opened += 1
         return first
 
@@ -238,7 +235,7 @@ class AreaAllocator:
         return bool(self._pending[is_fast])
 
     def forget_block(self, pbn: int) -> None:
-        """A block of this area was erased; drop any stale references.
+        """A block of this area was erased; check nothing still holds it.
 
         GC victims are always FULL blocks, whose VBs are all USED, so
         finding one in an active slot or pending queue is a bug.
@@ -255,4 +252,3 @@ class AreaAllocator:
                     raise VirtualBlockError(
                         f"erased block {pbn} had a pending VB {vb}"
                     )
-        self.owned.discard(pbn)

@@ -164,7 +164,7 @@ def execute_scenario(spec: ScenarioSpec, trace: Trace) -> RunResult:
     )
     policy = RefreshPolicy(manager) if (manager is not None and spec.refresh) else None
     ftl = make_ftl(spec.ftl, device, spec.ppb, manager, policy, spec.mapping)
-    ssd = SSD(ftl, spec.device.page_size)
+    ssd = SSD(ftl)
     fitted = trace.fit_to(ssd.capacity_bytes)
     if spec.effective_warm_fill > 0:
         ssd.warm_fill(spec.effective_warm_fill)

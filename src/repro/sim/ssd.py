@@ -19,14 +19,17 @@ Replay modes
 
 Timed-mode device models
 ------------------------
-In both models the FTL services each request synchronously at its
-dispatch, in arrival order, so FTL state evolves exactly as in a
-sequential replay; the models differ only in how they turn that work
-into simulated time.
+Every replay is one FTL pass, :meth:`SSD._served`, which serves the
+trace's requests in trace order and yields one record per request: its
+latency and, when a timing model needs them, the (chip, plane) units it
+busied.  Sequential mode sums those records.  Timed mode hands them to
+one of two timing models; the arrival process pulls the next record
+only when it admits that request, so no calendar callback ever calls
+the FTL, and FTL state evolves exactly as in a sequential replay.
 
-*Serialized* (1 chip x 1 channel x 1 plane, or an FTL with no device):
-the back end is one FCFS resource, and every request — including one
-that touches no flash at all — holds it for its summed service time.
+*Serialized* (1 chip x 1 channel x 1 plane): the back end is one FCFS
+resource, and every request — including one that touches no flash at
+all — holds it for its summed service time.
 
 *Plane-granular overlay* (every other topology): the device op log
 reports the (chip, plane) units the request busied, split into array
@@ -56,24 +59,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.arrival import ArrivalSpec
 from repro.sim.engine import Callback, Engine
 from repro.sim.resources import Resource
-from repro.traces.record import OPS, READ, TRIM, IORequest, Trace
+from repro.traces.record import READ, TRIM, Trace
 
-
-class FtlProtocol(Protocol):
-    """What the SSD needs from an FTL (every BaseFTL complies)."""
-
-    name: str
-    num_lpns: int
-
-    def host_read(self, lpn: int) -> float: ...
-    def host_write(self, lpn: int, nbytes: int | None = None) -> float: ...
-    def trim(self, lpn: int) -> float: ...
+if TYPE_CHECKING:
+    from repro.ftl.base import BaseFTL
 
 
 @dataclass
@@ -241,18 +236,29 @@ def _timed_extras(
     return extra
 
 
+#: The (chip, plane) units one request busied, each with its
+#: ``[transfer_us, array_us]`` totals.
+_Units = dict[tuple[int, int], list[float]]
+
+#: One served request, as :meth:`SSD._served` yields it:
+#: ``(op code, offset, latency_us, units, timestamp_us)``; ``units`` is
+#: None unless the pass is profiled.
+_Record = tuple[int, int, float, _Units | None, float]
+
+
 @dataclass(slots=True)
 class _Job:
-    """One request in flight through a timed replay."""
+    """One served request in flight through a timed replay."""
 
-    #: the request's trace row: op code (see ``OPS``), offset and size.
+    #: the request's op code (see ``OPS``) and byte offset.
     op: int
     offset: int
-    size: int
+    #: its summed service time.
+    latency_us: float
+    #: the units it busied (overlay only; None in the serialized model).
+    units: _Units | None
     #: when the request arrived, before any admission wait.
     arrival_us: float
-    #: its summed service time, set when the FTL services it.
-    latency_us: float = 0.0
 
 
 @dataclass(slots=True)
@@ -270,10 +276,6 @@ class _Visit:
 
 #: How a finished timed request is accounted: ``account(job, response_us)``.
 _Account = Callable[[_Job, float], None]
-
-#: One trace row as the arrival process walks it:
-#: ``(op code, offset, size, timestamp_us)``.
-_Row = tuple[int, int, int, float]
 
 
 class _Arrivals:
@@ -293,13 +295,19 @@ class _Arrivals:
     stay in flight, each completion admitting the next one.  Response
     time = completion - admission (a population slot *is* admission).
 
-    Either way the trace's columns are walked lazily, one row at a
-    time, and a :class:`_Job` exists only while its request is in
-    flight.
+    Either way the served records are pulled lazily, one at a time and
+    in trace order, so the FTL serves a request only when the arrival
+    process reaches it, and a :class:`_Job` exists only while its
+    request is in flight.
     """
 
     def __init__(
-        self, engine: Engine, trace: Trace, arrival: ArrivalSpec, start: Callback, account: _Account
+        self,
+        engine: Engine,
+        records: Iterator[_Record],
+        arrival: ArrivalSpec,
+        start: Callback,
+        account: _Account,
     ) -> None:
         self.engine = engine
         self.start = start
@@ -307,40 +315,39 @@ class _Arrivals:
         self.closed = arrival.is_closed
         #: the open-loop host queue bound (None when unbounded or closed).
         self.slots: Resource | None = None
-        self._rows: Iterator[_Row] = zip(
-            trace.ops, trace.offsets, trace.sizes, trace.timestamps_us
-        )
+        self._records = records
         self._scale = arrival.scale
         self._latest = 0.0
         if self.closed:
-            for op, offset, size, _ in itertools.islice(self._rows, arrival.queue_depth):
-                engine.process(start, _Job(op, offset, size, engine.now))
+            for op, offset, latency, units, _ in itertools.islice(records, arrival.queue_depth):
+                engine.process(start, _Job(op, offset, latency, units, engine.now))
             return
         if arrival.queue_depth:
             self.slots = Resource(engine, arrival.queue_depth)
         engine.process(self._walk)
 
-    def _walk(self, arrived: _Row | None = None) -> None:
+    def _walk(self, arrived: _Record | None = None) -> None:
         """Open loop: start requests in trace order until one must wait
         (first ``arrived``, when its gap has just elapsed)."""
         if arrived is not None and not self._admit(arrived):
             return
-        for row in self._rows:
-            stamp = row[3]
+        for record in self._records:
+            stamp = record[4]
             gap = stamp - self._latest
             if gap > 0.0:
                 self._latest = stamp
                 if self._scale != 1.0:
                     gap /= self._scale
                 if gap:
-                    self.engine.timeout(gap, self._walk, row)
+                    self.engine.timeout(gap, self._walk, record)
                     return
-            if not self._admit(row):
+            if not self._admit(record):
                 return
 
-    def _admit(self, row: _Row) -> bool:
-        """Start ``row``'s request now, or queue it for a host slot (False)."""
-        job = _Job(row[0], row[1], row[2], self.engine.now)
+    def _admit(self, record: _Record) -> bool:
+        """Start ``record``'s request now, or queue it for a host slot (False)."""
+        op, offset, latency, units, _ = record
+        job = _Job(op, offset, latency, units, self.engine.now)
         if self.slots is None:
             self.engine.process(self.start, job)
             return True
@@ -358,20 +365,19 @@ class _Arrivals:
         if self.slots is not None:
             self.slots.release()
         elif self.closed:
-            row = next(self._rows, None)
-            if row is not None:
-                self.engine.process(self.start, _Job(row[0], row[1], row[2], self.engine.now))
+            record = next(self._records, None)
+            if record is not None:
+                op, offset, latency, units, _ = record
+                self.engine.process(self.start, _Job(op, offset, latency, units, self.engine.now))
 
 
 class SSD:
     """Byte-addressed front end over an FTL."""
 
-    def __init__(self, ftl: FtlProtocol, page_size: int) -> None:
-        if page_size <= 0:
-            raise ConfigError(f"page_size must be positive, got {page_size}")
+    def __init__(self, ftl: BaseFTL) -> None:
         self.ftl = ftl
-        self.page_size = page_size
-        self.capacity_bytes = ftl.num_lpns * page_size
+        self.page_size = ftl.spec.page_size
+        self.capacity_bytes = ftl.num_lpns * self.page_size
         #: hoisted for the per-request loop in :meth:`_serve`.
         self._num_lpns = ftl.num_lpns
         #: active tenant partitions ((start, end, name) per tenant),
@@ -379,12 +385,8 @@ class SSD:
         self._tenant_ranges: tuple[tuple[int, int, str], ...] = ()
 
     # ------------------------------------------------------------------
-    # Single-request service
+    # The FTL pass
     # ------------------------------------------------------------------
-
-    def service(self, request: IORequest) -> float:
-        """Service one request; returns its latency in microseconds."""
-        return self._serve(OPS.index(request.op), request.offset, request.size)
 
     def _serve(self, op: int, offset: int, size: int) -> float:
         """Service one trace row (op code, offset, size); returns its
@@ -415,6 +417,37 @@ class SSD:
                 latency += host_write(lpn, nbytes=size)
         return latency
 
+    def _served(self, trace: Trace, profiled: bool) -> Iterator[_Record]:
+        """Serve every trace row in trace order, one record per row.
+
+        This is the one FTL pass of every replay mode.  With
+        ``profiled`` set, the device op log is armed around each request
+        and the record's ``units`` sums it per ``(chip, plane)`` —
+        GC/merge/refresh work the request triggered included, the
+        synchronous stall a real device would impose.  Fused multi-plane
+        commands report one segment per plane sharing the array time,
+        so each plane is held for the real (overlapped) duration.
+        """
+        serve = self._serve
+        rows = zip(trace.ops, trace.offsets, trace.sizes, trace.timestamps_us)
+        if not profiled:
+            for op, offset, size, stamp in rows:
+                yield op, offset, serve(op, offset, size), None, stamp
+            return
+        device = self.ftl.device
+        for op, offset, size, stamp in rows:
+            device.begin_oplog()
+            latency = serve(op, offset, size)
+            units: _Units = {}
+            for chip, plane, array_us, transfer_us in device.end_oplog():
+                totals = units.get((chip, plane))
+                if totals is None:
+                    units[(chip, plane)] = [transfer_us, array_us]
+                else:
+                    totals[0] += transfer_us
+                    totals[1] += array_us
+            yield op, offset, latency, units, stamp
+
     # ------------------------------------------------------------------
     # Whole-trace replay
     # ------------------------------------------------------------------
@@ -443,17 +476,13 @@ class SSD:
         the wear state exactly as a measured replay would, but none of
         it is accounted — stats reset afterwards, like a warm fill.
         """
-        serve = self._serve
-        for op, offset, size in zip(trace.ops, trace.offsets, trace.sizes):
-            serve(op, offset, size)
+        for _ in self._served(trace, False):
+            pass
         self._reset_stats()
 
     def _reset_stats(self) -> None:
         """Zero the FTL's accounting (after warm fill)."""
-        stats = getattr(self.ftl, "stats", None)
-        if stats is None:
-            return
-        self.ftl.stats = type(stats)()
+        self.ftl.stats = type(self.ftl.stats)()
 
     def replay(
         self,
@@ -496,16 +525,25 @@ class SSD:
                 return name
         return None
 
-    def _account_tenant(
-        self, result: RunResult, offset: int, latency: float
-    ) -> str | None:
-        name = self._tenant_of(offset)
-        if name is None:
+    def _account(self, result: RunResult, op: int, offset: int, latency: float) -> str | None:
+        """Fold one served request into the counts and service sums;
+        returns its tenant's name (None outside every partition)."""
+        result.num_requests += 1
+        if op == READ:
+            result.read_requests += 1
+            result.read_us += latency
+        elif op == TRIM:
+            result.trim_requests += 1
+            result.trim_us += latency
+        else:
+            result.write_requests += 1
+            result.write_us += latency
+        if not self._tenant_ranges:
             return None
-        result.tenant_requests[name] = result.tenant_requests.get(name, 0) + 1
-        result.tenant_service_us[name] = (
-            result.tenant_service_us.get(name, 0.0) + latency
-        )
+        name = self._tenant_of(offset)
+        if name is not None:
+            result.tenant_requests[name] = result.tenant_requests.get(name, 0) + 1
+            result.tenant_service_us[name] = result.tenant_service_us.get(name, 0.0) + latency
         return name
 
     def _base_result(self, trace: Trace) -> RunResult:
@@ -513,79 +551,36 @@ class SSD:
 
     def _replay_sequential(self, trace: Trace) -> RunResult:
         result = self._base_result(trace)
-        serve = self._serve
-        tenanted = bool(self._tenant_ranges)
-        num_requests = read_requests = write_requests = trim_requests = 0
-        read_us = write_us = trim_us = 0.0
-        for op, offset, size in zip(trace.ops, trace.offsets, trace.sizes):
-            latency = serve(op, offset, size)
-            num_requests += 1
-            if op == READ:
-                read_requests += 1
-                read_us += latency
-            elif op == TRIM:
-                trim_requests += 1
-                trim_us += latency
-            else:
-                write_requests += 1
-                write_us += latency
-            if tenanted:
-                self._account_tenant(result, offset, latency)
-        result.num_requests = num_requests
-        result.read_requests = read_requests
-        result.write_requests = write_requests
-        result.trim_requests = trim_requests
-        result.read_us = read_us
-        result.write_us = write_us
-        result.trim_us = trim_us
+        account = self._account
+        for op, offset, latency, _, _ in self._served(trace, False):
+            account(result, op, offset, latency)
         self._finalize(result)
         return result
 
-    def _timed_topology(self) -> tuple[int, int, int]:
-        """(num_chips, num_channels, planes_per_chip) of the FTL's
-        device (1/1/1 fallback for bare test FTLs with no device)."""
-        device = getattr(self.ftl, "device", None)
-        spec = getattr(device, "spec", None)
-        if spec is None:
-            return 1, 1, 1
-        return spec.num_chips, spec.num_channels, spec.planes_per_chip
-
     def _replay_timed(self, trace: Trace, arrival: ArrivalSpec) -> RunResult:
         result = self._base_result(trace)
-        num_chips, num_channels, planes = self._timed_topology()
-        if num_chips == 1 and num_channels == 1 and planes == 1:
+        spec = self.ftl.spec
+        if spec.num_chips == 1 and spec.num_channels == 1 and spec.planes_per_chip == 1:
             timed_extra = self._replay_timed_serialized(trace, result, arrival)
         else:
-            timed_extra = self._replay_timed_overlay(
-                trace, result, arrival, num_chips, num_channels, planes
-            )
+            timed_extra = self._replay_timed_overlay(trace, result, arrival)
         self._finalize(result)  # rebuilds result.extra from the FTL stats
         result.extra.update(timed_extra)
         return result
 
     def _account_timed(self, result: RunResult, job: _Job, response_us: float) -> None:
-        """Fold one completed timed request into the aggregates."""
-        latency = job.latency_us
+        """Fold one completed timed request into the aggregates (in
+        completion order, so the service sums are added in that order)."""
         result.response_times_us.append(response_us)
-        result.num_requests += 1
         if job.op == READ:
-            result.read_requests += 1
-            result.read_us += latency
             result.read_response_times_us.append(response_us)
         elif job.op == TRIM:
-            result.trim_requests += 1
-            result.trim_us += latency
             result.trim_response_times_us.append(response_us)
         else:
-            result.write_requests += 1
-            result.write_us += latency
             result.write_response_times_us.append(response_us)
-        if self._tenant_ranges:
-            name = self._account_tenant(result, job.offset, latency)
-            if name is not None:
-                result.tenant_response_times_us.setdefault(name, []).append(
-                    response_us
-                )
+        name = self._account(result, job.op, job.offset, job.latency_us)
+        if name is not None:
+            result.tenant_response_times_us.setdefault(name, []).append(response_us)
 
     def _replay_timed_serialized(
         self,
@@ -600,88 +595,56 @@ class SSD:
         model from the overlay, not a one-unit special case of it: a
         request that logs no device op (a RAM-map TRIM, a read of an
         unmapped page) still waits its FCFS turn here, whereas the
-        overlay completes it at once.  It is also the model for FTLs
-        with no device (nothing to take an op log from).
+        overlay completes it at once.
         """
         engine = Engine()
         device = Resource(engine, capacity=1)
-        serve_row = self._serve
 
-        def serve(job: _Job) -> None:
-            job.latency_us = serve_row(job.op, job.offset, job.size)
+        def hold(job: _Job) -> None:
             engine.timeout(job.latency_us, served, job)
 
         def served(job: _Job) -> None:
             device.release()
             arrivals.complete(job)
 
-        start = partial(device.request, serve)
-        arrivals = _Arrivals(engine, trace, arrival, start, partial(self._account_timed, result))
+        start = partial(device.request, hold)
+        account = partial(self._account_timed, result)
+        arrivals = _Arrivals(engine, self._served(trace, False), arrival, start, account)
         engine.run()
         result.simulated_us = engine.now
         return _timed_extras(engine.now, arrivals.slots)
-
-    def _service_profiled(
-        self, job: _Job
-    ) -> tuple[float, dict[tuple[int, int], list[float]]]:
-        """Service a job's request with the device op log armed.
-
-        Returns ``(latency, per_unit)`` where ``per_unit`` maps each
-        touched ``(chip, plane)`` to its ``[transfer_us, array_us]``
-        totals for this request — GC/merge/refresh work the request
-        triggered included, the synchronous stall a real device would
-        impose.  Fused multi-plane commands report one segment per plane
-        sharing the array time, so each plane is held for the real
-        (overlapped) duration.
-        """
-        device = self.ftl.device
-        device.begin_oplog()
-        latency = self._serve(job.op, job.offset, job.size)
-        ops = device.end_oplog()
-        per_unit: dict[tuple[int, int], list[float]] = {}
-        for chip, plane, array_us, transfer_us in ops:
-            totals = per_unit.get((chip, plane))
-            if totals is None:
-                per_unit[(chip, plane)] = [transfer_us, array_us]
-            else:
-                totals[0] += transfer_us
-                totals[1] += array_us
-        return latency, per_unit
 
     def _replay_timed_overlay(
         self,
         trace: Trace,
         result: RunResult,
         arrival: ArrivalSpec,
-        num_chips: int,
-        num_channels: int,
-        planes_per_chip: int,
     ) -> dict[str, float]:
         """Plane-granular timed replay (every multi-unit topology).
 
-        The FTL runs synchronously at each request's dispatch (so its
-        state evolves in arrival order exactly as in the serialized
-        model), and the overlay then queues the request's (chip, plane)
-        visits.  A visit holds its plane for transfer + array time; the
-        chip's die port and the channel bus are held only during the
-        transfer.  Sibling planes therefore overlap their array times
-        while their transfers serialize through the die and the bus, and
-        with one plane per chip the plane *is* the chip.  A request
-        completes when its last visit does — at once if it logged none.
+        Each request arrives already served, with the (chip, plane)
+        units its FTL work busied, and the overlay queues those visits.
+        A visit holds its plane for transfer + array time; the chip's
+        die port and the channel bus are held only during the transfer.
+        Sibling planes therefore overlap their array times while their
+        transfers serialize through the die and the bus, and with one
+        plane per chip the plane *is* the chip.  A request completes
+        when its last visit does — at once if it logged none.
         """
         engine = Engine()
+        spec = self.ftl.spec
+        num_chips, planes_per_chip = spec.num_chips, spec.planes_per_chip
         channel_of = self.ftl.device.geometry.channel_of_chip
         ports = [Resource(engine) for _ in range(num_chips)]
-        buses = [Resource(engine) for _ in range(num_channels)]
+        buses = [Resource(engine) for _ in range(spec.num_channels)]
         bus_of = [buses[channel_of(chip)] for chip in range(num_chips)]
         # chip-major: unit (chip, plane) is units[chip * planes_per_chip + plane].
         units = [Resource(engine) for _ in range(num_chips * planes_per_chip)]
         process = engine.process
         timeout = engine.timeout
-        service_profiled = self._service_profiled
 
         def start(job: _Job) -> None:
-            job.latency_us, per_unit = service_profiled(job)
+            per_unit = job.units
             if not per_unit:
                 arrivals.complete(job)
                 return
@@ -723,7 +686,8 @@ class SSD:
             visit.unit.release()
             process(visit.done)
 
-        arrivals = _Arrivals(engine, trace, arrival, start, partial(self._account_timed, result))
+        account = partial(self._account_timed, result)
+        arrivals = _Arrivals(engine, self._served(trace, True), arrival, start, account)
         engine.run()
         result.simulated_us = engine.now
         return _timed_extras(
@@ -731,9 +695,7 @@ class SSD:
         )
 
     def _finalize(self, result: RunResult) -> None:
-        stats = getattr(self.ftl, "stats", None)
-        if stats is None:
-            return
+        stats = self.ftl.stats
         result.gc_us = stats.gc_us
         result.erase_count = stats.erase_count
         result.gc_copied_pages = stats.gc_copied_pages
@@ -741,6 +703,5 @@ class SSD:
         result.mean_read_page_us = stats.mean_read_us
         result.mean_write_page_us = stats.mean_write_us
         result.extra = dict(stats.extra)
-        reliability = getattr(self.ftl, "reliability", None)
-        if reliability is not None:
-            result.extra.update(reliability.result_extras())
+        if self.ftl.reliability is not None:
+            result.extra.update(self.ftl.reliability.result_extras())

@@ -213,7 +213,7 @@ from repro.sim.ssd import SSD
 from repro.traces.workloads import WebSqlWorkload
 
 spec = sim_spec(blocks_per_chip=16, num_chips=4, num_channels=2, planes_per_chip=4)
-ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+ssd = SSD(ConventionalFTL(NandDevice(spec)))
 footprint = int(spec.logical_bytes * 0.8)
 trace = WebSqlWorkload(num_requests=200, footprint_bytes=footprint, seed=0).generate()
 ssd.warm_fill(0.8)

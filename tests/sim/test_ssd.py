@@ -13,35 +13,41 @@ from repro.traces.record import IORequest, OpType, Trace
 @pytest.fixture
 def ssd() -> SSD:
     spec = tiny_spec()
-    return SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+    return SSD(ConventionalFTL(NandDevice(spec)))
 
 
 class TestRequestSplitting:
+    """Each request becomes the pages it touches, clipped at capacity."""
+
+    @staticmethod
+    def _replay(ssd, op, offset, size):
+        return ssd.replay(Trace([IORequest(op, offset, size)]))
+
     def test_single_page_write(self, ssd):
-        latency = ssd.service(IORequest(OpType.WRITE, 0, 512))
-        assert latency > 0
+        result = self._replay(ssd, OpType.WRITE, 0, 512)
+        assert result.write_us > 0
         assert ssd.ftl.stats.host_write_pages == 1
 
     def test_multi_page_write(self, ssd):
         page = ssd.page_size
-        ssd.service(IORequest(OpType.WRITE, 0, 3 * page))
+        self._replay(ssd, OpType.WRITE, 0, 3 * page)
         assert ssd.ftl.stats.host_write_pages == 3
 
     def test_unaligned_request_touches_extra_page(self, ssd):
         page = ssd.page_size
-        ssd.service(IORequest(OpType.WRITE, page // 2, page))
+        self._replay(ssd, OpType.WRITE, page // 2, page)
         assert ssd.ftl.stats.host_write_pages == 2
 
     def test_read_after_write(self, ssd):
         page = ssd.page_size
-        ssd.service(IORequest(OpType.WRITE, 0, 2 * page))
-        latency = ssd.service(IORequest(OpType.READ, 0, 2 * page))
-        assert latency > 0
+        self._replay(ssd, OpType.WRITE, 0, 2 * page)
+        result = self._replay(ssd, OpType.READ, 0, 2 * page)
+        assert result.read_us > 0
         assert ssd.ftl.stats.host_read_pages == 2
 
     def test_request_beyond_capacity_clipped(self, ssd):
         end = ssd.capacity_bytes
-        ssd.service(IORequest(OpType.WRITE, end - ssd.page_size, 4 * ssd.page_size))
+        self._replay(ssd, OpType.WRITE, end - ssd.page_size, 4 * ssd.page_size)
         assert ssd.ftl.stats.host_write_pages == 1
 
 

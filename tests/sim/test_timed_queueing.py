@@ -157,7 +157,7 @@ class TestHostKnobs:
 
     def test_replay_validates_knobs(self):
         spec = tiny_spec()
-        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)))
         trace = Trace([IORequest(OpType.WRITE, 0, spec.page_size)])
         with pytest.raises(ConfigError, match=r"arrival\.queue_depth"):
             ssd.replay(trace, mode="timed", arrival=ArrivalSpec(queue_depth=-1))
@@ -173,7 +173,7 @@ class TestTwoDeviceModels:
 
     def _responses(self, num_chips):
         spec = tiny_spec(num_chips=num_chips)
-        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)))
         trace = Trace(
             [
                 IORequest(OpType.WRITE, 0, spec.page_size, timestamp_us=0.0),
@@ -197,22 +197,6 @@ class TestTwoDeviceModels:
         assert trim == 0.0
 
 
-class _FlatLatencyFTL:
-    """A device-less FTL: 1 us per read or write page, free TRIMs."""
-
-    name = "flat"
-    num_lpns = 64
-
-    def host_read(self, lpn):
-        return 1.0
-
-    def host_write(self, lpn, nbytes=None):
-        return 1.0
-
-    def trim(self, lpn):
-        return 0.0
-
-
 class TestOpenLoopArrivals:
     """Gaps run from the latest timestamp seen, so a timestamp that steps
     backwards does not delay the requests after it."""
@@ -221,18 +205,26 @@ class TestOpenLoopArrivals:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_backwards_step_does_not_delay_later_arrivals_serialized(self, scale):
-        ssd = SSD(_FlatLatencyFTL(), 4096)
-        trace = Trace(IORequest(OpType.READ, 0, 4096, timestamp_us=t) for t in self.STAMPS)
+        spec = tiny_spec()
+        ssd = SSD(ConventionalFTL(NandDevice(spec)))
+        page = spec.page_size
+        ssd.replay(Trace([IORequest(OpType.WRITE, 0, page)]))
+        read_us = ssd.replay(Trace([IORequest(OpType.READ, 0, page)])).read_us
+        assert read_us > 0.0
+        trace = Trace(
+            IORequest(OpType.READ, 0, page, timestamp_us=t * read_us) for t in self.STAMPS
+        )
         result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(scale=scale))
-        # Arrivals 0, 100, 100 (at once), 120 (scaled); 1 us of service each,
-        # so the third request queues behind the second for 1 us.
-        assert result.response_times_us == [1.0, 1.0, 2.0, 1.0]
-        assert result.simulated_us == pytest.approx(120.0 / scale + 1.0)
+        # Arrivals 0, 100, 100 (at once), 120 read times (scaled); one
+        # read time of service each, so the third request queues behind
+        # the second for one read time.
+        assert result.response_times_us == pytest.approx([read_us, read_us, 2 * read_us, read_us])
+        assert result.simulated_us == pytest.approx((120.0 / scale + 1.0) * read_us)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_backwards_step_does_not_delay_later_arrivals_overlay(self, scale):
         spec = tiny_spec(num_chips=2)
-        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)))
         trace = Trace(
             IORequest(OpType.TRIM, 0, spec.page_size, timestamp_us=t) for t in self.STAMPS
         )
@@ -275,7 +267,7 @@ class TestTimedExtras:
         """A queue bound always reports its wait, even when no request
         busied the device and no simulated time passed."""
         spec = tiny_spec(num_chips=2)
-        ssd = SSD(ConventionalFTL(NandDevice(spec)), spec.page_size)
+        ssd = SSD(ConventionalFTL(NandDevice(spec)))
         trace = Trace([IORequest(OpType.TRIM, 0, spec.page_size)])
         result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(queue_depth=1))
         assert result.simulated_us == 0.0
