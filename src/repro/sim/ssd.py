@@ -57,6 +57,7 @@ driver whose ``throughput_kiops`` at QD = N is the QD-sweep metric.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -96,18 +97,20 @@ class RunResult:
     #: for RAM-map FTLs; DFTL pays translation traffic to invalidate).
     trim_requests: int = 0
     trim_us: float = 0.0
-    #: response times from timed mode (empty in sequential mode).
-    response_times_us: list[float] = field(default_factory=list)
-    #: timed-mode response times split by request class.
-    read_response_times_us: list[float] = field(default_factory=list)
-    write_response_times_us: list[float] = field(default_factory=list)
-    trim_response_times_us: list[float] = field(default_factory=list)
+    #: response times from timed mode, one ``array('d')`` entry per
+    #: request in completion order (empty in sequential mode).
+    response_times_us: array = field(default_factory=partial(array, "d"))
+    #: timed-mode response times split by request class, same columns.
+    read_response_times_us: array = field(default_factory=partial(array, "d"))
+    write_response_times_us: array = field(default_factory=partial(array, "d"))
+    trim_response_times_us: array = field(default_factory=partial(array, "d"))
     #: per-tenant aggregates (multi-tenant scenarios only; keyed by
     #: tenant name).  Requests and summed service time fill in both
-    #: replay modes; response times only in timed mode.
+    #: replay modes; response times (an ``array('d')`` column per
+    #: tenant) only in timed mode.
     tenant_requests: dict[str, int] = field(default_factory=dict)
     tenant_service_us: dict[str, float] = field(default_factory=dict)
-    tenant_response_times_us: dict[str, list[float]] = field(default_factory=dict)
+    tenant_response_times_us: dict[str, array] = field(default_factory=dict)
     #: simulated makespan of a timed replay (0.0 in sequential mode);
     #: ``num_requests / simulated_us`` is the replay's throughput.
     simulated_us: float = 0.0
@@ -191,8 +194,8 @@ def _quantile(ordered: list[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
-def _percentiles(times: list[float]) -> dict[str, float]:
-    """p50/p95/p99 dict of a response-time list (empty list -> {})."""
+def _percentiles(times: Sequence[float]) -> dict[str, float]:
+    """p50/p95/p99 dict of a response-time column (empty -> {})."""
     if not times:
         return {}
     ordered = sorted(times)
@@ -580,7 +583,7 @@ class SSD:
             result.write_response_times_us.append(response_us)
         name = self._account(result, job.op, job.offset, job.latency_us)
         if name is not None:
-            result.tenant_response_times_us.setdefault(name, []).append(response_us)
+            result.tenant_response_times_us.setdefault(name, array("d")).append(response_us)
 
     def _replay_timed_serialized(
         self,

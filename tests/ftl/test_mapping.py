@@ -1,10 +1,18 @@
 """Tests for the bidirectional page map."""
 
+import gc
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MappingError
+from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.mapping import UNMAPPED, PageMapTable
+from repro.nand.device import NandDevice
+from repro.nand.spec import sim_spec
+from repro.sim.ssd import SSD
 
 
 @pytest.fixture
@@ -84,6 +92,19 @@ class TestConsistency:
                 table.unmap(lpn)
         table.check_consistency()
 
+    @pytest.mark.parametrize("fault", ["stale_reverse", "orphan_reverse", "count"])
+    def test_detects_each_inconsistency(self, table, fault):
+        table.remap(1, 5)
+        table.remap(2, 6)
+        if fault == "stale_reverse":
+            table.p2l[5] = 2  # l2p[1] = 5 no longer maps back
+        elif fault == "orphan_reverse":
+            table.p2l[9] = 3  # a valid page no LPN points at
+        else:
+            table.mapped_count += 1
+        with pytest.raises(MappingError):
+            table.check_consistency()
+
     @given(
         ops=st.lists(
             st.tuples(st.integers(0, 15), st.booleans()), min_size=0, max_size=60
@@ -132,3 +153,34 @@ class TestClearPpn:
         # The refusal must not have damaged the mapping.
         assert table.ppn_of(3) == 10
         table.check_consistency()
+
+
+class TestColumnMemory:
+    """The map holds its entries in place: no Python object per page."""
+
+    #: Map bytes per mapped page after an 80% warm fill of ``sim_spec()``
+    #: (73,137 mapped pages): 20.8 measured, 8 bytes for each of the 2.6
+    #: l2p and p2l slots per mapped page.  Python lists of ints measured
+    #: 84.5: one boxed ``int`` per mapped entry in each direction.
+    MAX_BYTES_PER_MAPPED_PAGE = 24.0
+
+    def test_warm_filled_map_bytes_per_mapped_page(self):
+        tracemalloc.start()
+        try:
+            ftl = ConventionalFTL(NandDevice(sim_spec()))
+            SSD(ftl).warm_fill(0.8)
+            table = ftl.map
+            for column in (table.l2p, table.p2l):
+                assert isinstance(column, array) and column.typecode == "q"
+            slots = table.num_lpns + table.num_ppns
+            mapped = table.mapped_count
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            ftl.map = table = column = None
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Dropping the map really freed it: at least its two columns.
+        assert freed >= 8 * slots
+        assert freed / mapped <= self.MAX_BYTES_PER_MAPPED_PAGE

@@ -1,5 +1,7 @@
 """Tests for the SSD front end (request splitting, replay modes)."""
 
+from array import array
+
 import pytest
 
 from repro.errors import ConfigError
@@ -149,7 +151,7 @@ class TestResponsePercentiles:
 
         from repro.sim.ssd import RunResult
 
-        times = [5.0, 1.0, 9.0, 3.0, 7.0]
+        times = array("d", [5.0, 1.0, 9.0, 3.0, 7.0])
         result = RunResult(ftl_name="x", trace_name="y", response_times_us=times)
         percentiles = result.response_percentiles()
         assert percentiles["p50_us"] == pytest.approx(np.percentile(times, 50))
@@ -159,7 +161,7 @@ class TestResponsePercentiles:
     def test_single_sample(self):
         from repro.sim.ssd import RunResult
 
-        result = RunResult(ftl_name="x", trace_name="y", response_times_us=[4.2])
+        result = RunResult(ftl_name="x", trace_name="y", response_times_us=array("d", [4.2]))
         assert result.response_percentiles() == {
             "p50_us": 4.2,
             "p95_us": 4.2,

@@ -218,7 +218,9 @@ class TestOpenLoopArrivals:
         # Arrivals 0, 100, 100 (at once), 120 read times (scaled); one
         # read time of service each, so the third request queues behind
         # the second for one read time.
-        assert result.response_times_us == pytest.approx([read_us, read_us, 2 * read_us, read_us])
+        assert list(result.response_times_us) == pytest.approx(
+            [read_us, read_us, 2 * read_us, read_us]
+        )
         assert result.simulated_us == pytest.approx((120.0 / scale + 1.0) * read_us)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
@@ -230,7 +232,7 @@ class TestOpenLoopArrivals:
         )
         result = ssd.replay(trace, mode="timed", arrival=ArrivalSpec(scale=scale))
         # TRIMs log no device op, so each completes at its arrival.
-        assert result.trim_response_times_us == [0.0] * 4
+        assert list(result.trim_response_times_us) == [0.0] * 4
         assert result.simulated_us == 120.0 / scale
 
 
